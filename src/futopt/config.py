@@ -146,6 +146,16 @@ def _coerce_numbers(value):
     return value
 
 
+def _as_int(value, where: str) -> int:
+    """An integer field; integral floats such as 1e4 pass, 1.5 or "abc" do not."""
+    value = _coerce_numbers(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 _INT_FIELDS = {"n_paths", "seed", "workers", "h_window", "lag"}
 
 
@@ -158,7 +168,7 @@ def _build_dataclass(cls, data: dict, section: str):
     for key, value in data.items():
         value = _coerce_numbers(value)
         if key in _INT_FIELDS and value is not None:
-            value = int(value)
+            value = _as_int(value, f"{section}.{key}")
         if isinstance(value, list):
             value = tuple(value) if key in ("formats", "delta_ts") else value
         kwargs[key] = value
@@ -184,9 +194,9 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
     for key, value in list(mkt.items()):
         if key not in ("d", "n_steps", "delta_t"):
             mkt[key] = _coerce_numbers(value)
-    mkt["d"] = int(mkt["d"])
+    mkt["d"] = _as_int(mkt["d"], "market.d")
     if "n_steps" in mkt:
-        mkt["n_steps"] = int(_coerce_numbers(mkt["n_steps"]))
+        mkt["n_steps"] = _as_int(mkt["n_steps"], "market.n_steps")
     defaults = {
         "n_steps": 252,
         "delta_t": 1.0 / 252,

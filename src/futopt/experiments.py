@@ -9,6 +9,7 @@ only field allowed to differ.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .errors import ConfigError
 from .filtering import run_filter_batch
 from .market import PathState, returns_from_prices, simulate_batch
 from .measure import MeasureState, build_measure_state, relative_risk, zeta_projection
-from .montecarlo import DEFAULT_CHUNK, chunk_layout, run_chunked
+from .montecarlo import chunk_layout, run_chunked
 from .strategies import LaggedEstimateStrategy, LogOptimalStrategy, MaskedStrategy, ScaledStrategy
 from .trading import PositionBook, cost_term, write_position_ledger
 from .utility import (
@@ -192,17 +193,20 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     run_params = params if s.gearing is None else params.with_updates(k=np.asarray(s.gearing, float))
     p_cov0 = None if s.p_cov0 is None else np.asarray(s.p_cov0, float)
 
-    def trade_chunk(seed_seq, n_in_chunk):
+    summary: dict = {}
+    path0: list = []
+
+    def chunk(seed_seq, n_in_chunk):
         batch = simulate_batch(run_params, seed_seq, n_in_chunk)
         ledger = run_backtest(
             batch, build_strategy(cfg), run_params, s.x0,
             cap=cap, integer_contracts=s.integer_contracts, p_cov0=p_cov0,
         )
         measure = _strategy_measure(batch, ledger, run_params, s.theta_max)
-        return batch, ledger, measure
-
-    def chunk(seed_seq, n_in_chunk):
-        _, ledger, measure = trade_chunk(seed_seq, n_in_chunk)
+        if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked
+            # Only scalars and path-0 copies outlive the chunk, not the batch.
+            summary.update(summary_dict(ledger, run_params, s.x0, measure, s.h_window))
+            path0[:] = copy.deepcopy((_slice_ledger(ledger, 0), _slice_measure(measure, 0), batch.F[0]))
         return {
             "terminal_wealth": ledger.terminal(),
             "balance_HX": measure.H[:, -1] * ledger.terminal(),
@@ -210,24 +214,17 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         }
 
     stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
-
-    # Chunk 0 is recomputed serially so the per-path artifacts (ledger and
-    # positions for path 0) never depend on pool scheduling.
-    chunk0_seed = np.random.SeedSequence(seed).spawn(1)[0]
-    batch0, ledger0, measure0 = trade_chunk(chunk0_seed, min(DEFAULT_CHUNK, n_paths))
-    path0_ledger = _slice_ledger(ledger0, 0)
-    path0_measure = _slice_measure(measure0, 0)
+    ledger0, measure0, F0 = path0
 
     artifacts = []
     ledger_csv = out / "ledger_0000.csv"
-    write_wealth_csv(ledger_csv, path0_ledger, path0_measure)
+    write_wealth_csv(ledger_csv, ledger0, measure0)
     artifacts.append(str(ledger_csv))
     pos_csv = out / "positions_0000.csv"
-    write_position_ledger(pos_csv, path0_ledger.book, batch0.F[0], ledger0.t_grid)
+    write_position_ledger(pos_csv, ledger0.book, F0, ledger0.t_grid)
     artifacts.append(str(pos_csv))
 
     bal = stats["balance_HX"]
-    summary = summary_dict(ledger0, run_params, s.x0, measure0, s.h_window)
     summary.update(
         {
             "n_paths": bal.n,

@@ -217,10 +217,16 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
 
     The price noise and the drift noise come from disjoint sub-streams of a
     single counter-based generator, so runs are reproducible bit for bit.
+    The sub-streams are the first two children of the seed sequence, derived
+    without spawn(), which would advance the caller's spawn counter.
     """
     if n_paths < 1:
         raise ModelError("n_paths must be a positive integer")
-    ss_w, ss_w2 = _seed_seq(seed).spawn(2)
+    ss = _seed_seq(seed)
+    ss_w, ss_w2 = (
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
+        for k in range(2)
+    )
     n, d = params.n_steps, params.d
     L = params.rho_cholesky()
     z = _generator(ss_w).standard_normal((n_paths, n, d))

@@ -111,7 +111,9 @@ def run_chunked(
 
     chunk_fn(seed_seq, n_in_chunk) returns a dict mapping statistic names to
     per-path sample arrays.  Chunks may run on a thread pool; merging always
-    happens serially in chunk order.
+    happens serially in chunk order.  Chunk i receives the i-th child spawned
+    from the root seed sequence, so ``seed_seq.spawn_key[-1] == i``; a
+    chunk_fn can recognise chunk 0 by it, whatever thread runs it.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     layout = chunk_layout(int(n_paths), chunk_size)

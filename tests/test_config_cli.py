@@ -161,6 +161,29 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--paths", "0"]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("mc", "n_paths", "abc"),
+    ("mc", "n_paths", 1.5),
+    ("mc", "seed", True),
+    ("market", "d", "two"),
+    ("market", "n_steps", 2.5),
+])
+def test_cli_bad_integer_fields_exit_2_naming_the_field(tmp_path, capsys, section, key, value):
+    import yaml
+
+    tree = yaml.safe_load(MINI_YAML)
+    tree[section][key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_integral_floats_accepted_for_integer_fields():
+    cfg = config_from_dict(_tree(market={"d": 1, "n_steps": "1.6e1"}, mc={"n_paths": 1e4}))
+    assert cfg.market.n_steps == 16 and cfg.mc.n_paths == 10_000
+
+
 def test_cli_simulate_writes_artifacts(tmp_path, capsys):
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(MINI_YAML)

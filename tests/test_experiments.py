@@ -144,15 +144,71 @@ def test_manifest_contents(tmp_path):
         assert key in manifest
 
 
-def test_worker_env_does_not_change_results(tmp_path, monkeypatch):
+# Two chunks (8192 + 8), so chunk 0 is not the whole run and a pool interleaves.
+TWO_CHUNKS = {"n_paths": 8200, "seed": 8}
+
+
+@pytest.mark.parametrize("experiment, files", [
+    ("verify-measure", ["measure_report.csv"]),
+    ("backtest", ["ledger_0000.csv", "positions_0000.csv", "summary.json"]),
+], ids=["verify-measure", "backtest"])
+def test_worker_env_does_not_change_results(tmp_path, monkeypatch, experiment, files):
     from futopt.montecarlo import WORKERS_ENV_VAR
 
-    # two chunks, so pooled execution genuinely interleaves
-    cfg = _cfg("verify-measure", mc={"n_paths": 10_000, "seed": 8})
+    cfg = _cfg(experiment, mc=TWO_CHUNKS)
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")
     run_experiment(cfg, out_dir=tmp_path / "w1")
     monkeypatch.setenv(WORKERS_ENV_VAR, "3")
     run_experiment(cfg, out_dir=tmp_path / "w3")
-    a = (tmp_path / "w1" / "measure_report.csv").read_bytes()
-    b = (tmp_path / "w3" / "measure_report.csv").read_bytes()
-    assert a == b
+    for name in files:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
+
+
+def test_backtest_simulates_and_trades_each_chunk_once(tmp_path, monkeypatch):
+    from futopt import experiments
+    from futopt.montecarlo import chunk_layout
+
+    calls = {"simulate_batch": 0, "run_backtest": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    assert run_experiment(_cfg("backtest", mc=TWO_CHUNKS), out_dir=tmp_path).status == 0
+    n_chunks = len(chunk_layout(TWO_CHUNKS["n_paths"]))
+    assert calls == {"simulate_batch": n_chunks, "run_backtest": n_chunks}
+
+
+def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
+    import numpy as np
+
+    from futopt import build_strategy, run_backtest, simulate_batch, summary_dict
+    from futopt.experiments import _slice_ledger, _slice_measure, _strategy_measure
+    from futopt.montecarlo import DEFAULT_CHUNK
+    from futopt.trading import write_position_ledger
+    from futopt.wealth import write_wealth_csv
+
+    cfg = _cfg("backtest", mc=TWO_CHUNKS)
+    run_experiment(cfg, out_dir=tmp_path / "run")
+
+    # chunk 0 rebuilt serially, as the first child of the root seed sequence
+    s, p = cfg.strategy, cfg.market
+    seed_seq = np.random.SeedSequence(TWO_CHUNKS["seed"]).spawn(1)[0]
+    batch = simulate_batch(p, seed_seq, min(DEFAULT_CHUNK, TWO_CHUNKS["n_paths"]))
+    ledger = run_backtest(batch, build_strategy(cfg), p, s.x0)
+    measure = _strategy_measure(batch, ledger, p, s.theta_max)
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    path_ledger = _slice_ledger(ledger, 0)
+    write_wealth_csv(oracle / "ledger_0000.csv", path_ledger, _slice_measure(measure, 0))
+    write_position_ledger(oracle / "positions_0000.csv", path_ledger.book, batch.F[0], ledger.t_grid)
+    for name in ("ledger_0000.csv", "positions_0000.csv"):
+        assert _read_csv(tmp_path / "run" / name) == _read_csv(oracle / name)
+
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    expected = summary_dict(ledger, p, s.x0, measure, s.h_window)
+    for key in ("x0", "terminal_std", "terminal_min", "terminal_max",
+                "admissibility_violations", "clip_events", "cash_cost_fallbacks",
+                "dead_paths", "realized_monetary_vol"):
+        assert summary[key] == expected[key], key
+    assert summary["n_paths"] == TWO_CHUNKS["n_paths"]

@@ -117,6 +117,15 @@ def test_batch_path_view_matches_singleton():
     assert np.array_equal(one.F, batch.F[1])
 
 
+def test_same_seed_sequence_object_reused_gives_same_batch():
+    p = _params(varsigma=0.1, n_steps=32)
+    ss = np.random.SeedSequence(7).spawn(2)[1]
+    a = simulate_batch(p, ss, 4)
+    b = simulate_batch(p, ss, 4)
+    assert np.array_equal(a.F, b.F)
+    assert np.array_equal(a.beta, b.beta)
+
+
 def test_delta_R_is_delta_F_over_F():
     p = _params(varsigma=0.1, alpha=-0.5, n_steps=128)
     path = simulate_path(p, seed=9)
