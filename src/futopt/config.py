@@ -117,7 +117,7 @@ def _parse_delta_t(value) -> float:
             except ValueError:
                 pass
         raise ConfigError(f"market.delta_t: cannot parse {value!r}")
-    return float(value)
+    return float(_as_float(value, "market.delta_t"))
 
 
 def _section(tree: dict, name: str) -> dict:
@@ -156,7 +156,17 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
+def _as_float(value, where: str):
+    """A real field; an int keeps its type, so existing config hashes do not move."""
+    value = _coerce_numbers(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
 _INT_FIELDS = {"n_paths", "seed", "workers", "h_window", "lag"}
+_FLOAT_FIELDS = {"x0", "theta_max", "bound", "P_prev", "P_now"}
+_LIST_FIELDS = {"formats", "delta_ts"}
 
 
 def _build_dataclass(cls, data: dict, section: str):
@@ -167,10 +177,15 @@ def _build_dataclass(cls, data: dict, section: str):
     kwargs = {}
     for key, value in data.items():
         value = _coerce_numbers(value)
+        where = f"{section}.{key}"
         if key in _INT_FIELDS and value is not None:
-            value = _as_int(value, f"{section}.{key}")
-        if isinstance(value, list):
-            value = tuple(value) if key in ("formats", "delta_ts") else value
+            value = _as_int(value, where)
+        elif key in _FLOAT_FIELDS:
+            value = _as_float(value, where)
+        elif key in _LIST_FIELDS:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where} must be a list, got {value!r}")
+            value = tuple(_as_float(v, where) for v in value) if key == "delta_ts" else tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -194,6 +209,10 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
     for key, value in list(mkt.items()):
         if key not in ("d", "n_steps", "delta_t"):
             mkt[key] = _coerce_numbers(value)
+            try:
+                np.asarray(mkt[key], dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"market.{key} must be numeric, got {value!r}") from None
     mkt["d"] = _as_int(mkt["d"], "market.d")
     if "n_steps" in mkt:
         mkt["n_steps"] = _as_int(mkt["n_steps"], "market.n_steps")

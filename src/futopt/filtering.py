@@ -124,7 +124,9 @@ class FilterHistory:
 
     beta_hat rows are the estimates available at the start of each step;
     d_nu holds the N innovation increments and nu their running sum with
-    nu_0 = 0.
+    nu_0 = 0.  run_filter_batch stores beta_hat and d_nu step-major and
+    returns them as (n_paths, ..., d) transposed views: a per-path slice is
+    strided and keeps the whole batch alive, so copy what must outlive it.
     """
 
     beta_hat: np.ndarray     # (..., N + 1, d)
@@ -176,20 +178,22 @@ def run_filter_batch(
     p = default_p_cov0(params) if p_cov0 is None else np.asarray(p_cov0, dtype=float)
     b0 = params.beta0 if beta_hat0 is None else np.asarray(beta_hat0, dtype=float)
 
-    beta_hat = np.empty((n_paths, n + 1, d))
-    beta_hat[:, 0, :] = b0
+    dR_steps = np.ascontiguousarray(delta_R.transpose(1, 0, 2))
+    beta_steps = np.empty((n + 1, n_paths, d))
+    beta_steps[0] = b0
     p_cov = np.empty((n + 1, d, d))
     p_cov[0] = p
-    d_nu = np.empty((n_paths, n, d))
+    nu_steps = np.empty((n, n_paths, d))
 
     b = np.broadcast_to(b0, (n_paths, d)).copy()
     for i in range(n):
-        b, p, nu_i = _kalman_step(b, p, delta_R[:, i, :], mats, i)
-        beta_hat[:, i + 1, :] = b
+        b, p, nu_steps[i] = _kalman_step(b, p, dR_steps[i], mats, i)
+        beta_steps[i + 1] = b
         p_cov[i + 1] = p
-        d_nu[:, i, :] = nu_i
 
-    return FilterHistory(beta_hat=beta_hat, p_cov=p_cov, d_nu=d_nu)
+    return FilterHistory(
+        beta_hat=beta_steps.transpose(1, 0, 2), p_cov=p_cov, d_nu=nu_steps.transpose(1, 0, 2)
+    )
 
 
 # -- innovation diagnostics -------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelError
 from .params import MarketParams
-from .trading import approx_cost_term, log_optimal_weights, payoff_transform
+from .trading import approx_cost_term, log_optimal_factor, payoff_transform
 
 __all__ = [
     "StrategyObs",
@@ -50,16 +50,13 @@ class StrategyObs:
 
 
 class Strategy:
-    """Base class; policies override weights() and optionally the hooks."""
+    """Base class; policies override weights() and optionally reset()."""
 
     def reset(self, n_paths: int, params: MarketParams) -> None:
         """Called once before a backtest run."""
 
     def weights(self, obs: StrategyObs) -> np.ndarray:
         raise NotImplementedError
-
-    def observe(self, delta_R: np.ndarray) -> None:
-        """Called after each step with the newly revealed return increment."""
 
 
 class ZeroStrategy(Strategy):
@@ -108,9 +105,10 @@ class LogOptimalStrategy(Strategy):
       "literal"        cost-aware with the plain difference beta_hat - c_hat
 
     The cost-aware modes estimate slippage at the zero-cost target position,
-    then re-solve for weights from the transformed signal.  Components whose
-    target position is too small to anchor a relative cost are parked at
-    zero weight, consistent with the cost estimate diverging there.
+    then map the transformed signal to weights again; reset() computes the
+    inverse (sigma* rho sigma)^{-1} once per run.  Components whose target
+    position is too small to anchor a relative cost are parked at zero
+    weight, consistent with the cost estimate diverging there.
     """
 
     def __init__(self, mode: str = "soft_threshold", literal_product: bool = False):
@@ -119,15 +117,17 @@ class LogOptimalStrategy(Strategy):
         self.mode = mode
         self.literal_product = literal_product
         self._params = None
+        self._factor_T = None
 
     def reset(self, n_paths: int, params: MarketParams) -> None:
         self._params = params
+        self._factor_T = log_optimal_factor(params, self.literal_product).T
 
     def weights(self, obs: StrategyObs) -> np.ndarray:
         if obs.beta_hat is None:
             raise ModelError("log-optimal strategy needs a drift estimate")
         params = self._params
-        pi_zc = log_optimal_weights(obs.beta_hat, params, self.literal_product)
+        pi_zc = obs.beta_hat @ self._factor_T
         if self.mode == "zero_cost":
             return pi_zc
 
@@ -136,7 +136,7 @@ class LogOptimalStrategy(Strategy):
         c_hat = np.where(flagged, 0.0, c_hat)
         upsilon = payoff_transform(obs.beta_hat, c_hat, self.mode)
         upsilon = np.where(flagged, 0.0, upsilon)
-        return log_optimal_weights(upsilon, params, self.literal_product)
+        return upsilon @ self._factor_T
 
 
 class ScaledStrategy(Strategy):
@@ -151,9 +151,6 @@ class ScaledStrategy(Strategy):
 
     def weights(self, obs):
         return self.factor * self.inner.weights(obs)
-
-    def observe(self, delta_R):
-        self.inner.observe(delta_R)
 
 
 class LaggedEstimateStrategy(Strategy):
@@ -181,9 +178,6 @@ class LaggedEstimateStrategy(Strategy):
         )
         return self.inner.weights(stale)
 
-    def observe(self, delta_R):
-        self.inner.observe(delta_R)
-
 
 class MaskedStrategy(Strategy):
     """Zeroes the weights of selected components of the wrapped policy."""
@@ -197,6 +191,3 @@ class MaskedStrategy(Strategy):
 
     def weights(self, obs):
         return self.inner.weights(obs) * self.keep
-
-    def observe(self, delta_R):
-        self.inner.observe(delta_R)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, SingularModelError
 from .params import MarketParams
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "cost_term",
     "approx_cost_term",
     "payoff_transform",
+    "log_optimal_factor",
     "log_optimal_weights",
     "write_position_ledger",
 ]
@@ -147,27 +148,24 @@ def payoff_transform(
     raise ModelError(f"unknown payoff transform mode: {mode!r}")
 
 
+def log_optimal_factor(params: MarketParams, literal_product: bool = False) -> np.ndarray:
+    """The inverse (sigma* rho sigma)^{-1} mapping a drift signal to weights.
+
+    literal_product=True inverts sigma rho sigma without the transpose; the
+    two coincide whenever sigma commutes with rho (scalar or symmetric sigma).
+    """
+    left = params.sigma if literal_product else params.sigma.T
+    try:
+        return np.linalg.inv(left @ params.rho @ params.sigma)
+    except np.linalg.LinAlgError:
+        raise SingularModelError("sigma rho sigma product") from None
+
+
 def log_optimal_weights(
     upsilon: np.ndarray, params: MarketParams, literal_product: bool = False
 ) -> np.ndarray:
-    """Growth-optimal weights pi = (sigma* rho sigma)^{-1} upsilon.
-
-    literal_product=True uses sigma rho sigma without the transpose; the two
-    coincide whenever sigma commutes with rho (scalar or symmetric sigma).
-    """
-    upsilon = np.asarray(upsilon, dtype=float)
-    if literal_product:
-        M = params.sigma @ params.rho @ params.sigma
-    else:
-        M = params.sigma.T @ params.rho @ params.sigma
-    try:
-        flat = upsilon.reshape(-1, params.d)
-        pi = np.linalg.solve(M, flat.T).T
-    except np.linalg.LinAlgError:
-        from .errors import SingularModelError
-
-        raise SingularModelError("sigma rho sigma product") from None
-    return pi.reshape(upsilon.shape)
+    """Growth-optimal weights pi = (sigma* rho sigma)^{-1} upsilon."""
+    return np.asarray(upsilon, dtype=float) @ log_optimal_factor(params, literal_product).T
 
 
 @dataclass

@@ -102,22 +102,6 @@ class WealthLedger:
     dead: np.ndarray | None = None    # (...,) bool, absorbed at zero
     beta_hat: np.ndarray | None = None
 
-    @property
-    def pi_hist(self) -> np.ndarray:
-        return self.book.pi
-
-    @property
-    def P_hist(self) -> np.ndarray:
-        return self.book.P
-
-    @property
-    def cost_hist(self) -> np.ndarray:
-        return self.book.c_tilde
-
-    @property
-    def cash_cost_hist(self) -> np.ndarray:
-        return self.book.cash_cost
-
     def terminal(self) -> np.ndarray:
         return self.X[..., -1]
 
@@ -140,56 +124,59 @@ def run_backtest(
     is revealed after the weights are committed.  The cash form is the
     primitive recursion; the relative cost per step is recorded in the
     ledger for diagnostics and cross-checks.
+
+    Histories are stored step-major, so each step reads and writes one
+    contiguous row, and the ledger holds (n_paths, N, d) transposed views of
+    that storage.  A per-path slice is therefore strided and keeps the whole
+    batch alive; copy it (for instance with copy.deepcopy) to keep it past
+    the run.
     """
     if x0 < 0:
         raise ModelError("initial wealth must be nonnegative")
     single = isinstance(paths, PathState)
-    if single:
-        F = paths.F[None]
-        dR_all = paths.delta_R()[None]
-    else:
-        F = paths.F
-        dR_all = paths.delta_R()
+    F = paths.F[None] if single else paths.F
+    R = paths.R[None] if single else paths.R
     n_paths, n_grid, d = F.shape
     n = n_grid - 1
     t_grid = paths.t_grid
+    F_steps = np.ascontiguousarray(F.transpose(1, 0, 2))
 
-    use_filter = params.sigma_invertible()
-    if use_filter:
-        fhist = run_filter_batch(dR_all, params, p_cov0, beta_hat0)
-        beta_hat_all = fhist.beta_hat
+    if params.sigma_invertible():
+        dR_all = paths.delta_R()[None] if single else paths.delta_R()
+        beta_hat_all = run_filter_batch(dR_all, params, p_cov0, beta_hat0).beta_hat
+        beta_steps = beta_hat_all.transpose(1, 0, 2)   # the filter's own storage
     else:
-        beta_hat_all = None
+        beta_hat_all = beta_steps = None
 
     X = np.full(n_paths, float(x0))
     dead = X <= 0
     P_prev = np.zeros((n_paths, d))
 
-    X_hist = np.empty((n_paths, n + 1))
-    X_hist[:, 0] = X
-    pi_hist = np.zeros((n_paths, n, d))
-    P_hist = np.zeros((n_paths, n, d))
-    trade_hist = np.zeros((n_paths, n, d))
-    ct_hist = np.zeros((n_paths, n, d))
-    cash_hist = np.zeros((n_paths, n, d))
-    clip_hist = np.zeros((n_paths, n, d), dtype=bool)
-    C_hist = np.zeros((n_paths, n, d))
+    X_hist = np.empty((n + 1, n_paths))
+    X_hist[0] = X
+    pi_hist = np.zeros((n, n_paths, d))
+    P_hist = np.zeros((n, n_paths, d))
+    trade_hist = np.zeros((n, n_paths, d))
+    ct_hist = np.zeros((n, n_paths, d))
+    cash_hist = np.zeros((n, n_paths, d))
+    clip_hist = np.zeros((n, n_paths, d), dtype=bool)
+    C_hist = np.zeros((n, n_paths, d))
     events: list[tuple[int, int, str]] = []
 
     strategy.reset(n_paths, params)
 
     for i in range(n):
-        F_i = F[:, i, :]
+        F_i = F_steps[i]
         C_i = contract_price(F_i, params.f)
         obs = StrategyObs(
             n=i,
             t=float(t_grid[i]),
             F=F_i,
             C=C_i,
-            R=(paths.R[None] if single else paths.R)[:, i, :],
+            R=R[:, i, :],
             X=X,
             P_prev=P_prev,
-            beta_hat=None if beta_hat_all is None else beta_hat_all[:, i, :],
+            beta_hat=None if beta_steps is None else beta_steps[i],
         )
         pi = np.asarray(strategy.weights(obs), dtype=float)
         if pi.shape != (n_paths, d):
@@ -201,7 +188,7 @@ def run_backtest(
         trade = P - P_prev
 
         c_tilde, flagged = cost_term(P, P_prev, C_i, params)
-        delta_F = F[:, i + 1, :] - F_i
+        delta_F = F_steps[i + 1] - F_i
         X_next, violated = step_wealth_cash(X, P, P_prev, delta_F, params)
 
         for p_idx in np.flatnonzero(violated & ~dead):
@@ -213,34 +200,32 @@ def run_backtest(
             for p_idx, a_idx in zip(*np.nonzero(flagged)):
                 events.append((int(p_idx), i, f"cash_cost_fallback:{a_idx + 1}"))
 
-        X_hist[:, i + 1] = X_next
-        pi_hist[:, i, :] = pi
-        P_hist[:, i, :] = P
-        trade_hist[:, i, :] = trade
-        ct_hist[:, i, :] = c_tilde
-        cash_hist[:, i, :] = 0.5 * params.c_spread * params.f * np.abs(trade)
-        clip_hist[:, i, :] = clipped
-        C_hist[:, i, :] = C_i
+        X_hist[i + 1] = X_next
+        pi_hist[i] = pi
+        P_hist[i] = P
+        trade_hist[i] = trade
+        ct_hist[i] = c_tilde
+        cash_hist[i] = 0.5 * params.c_spread * params.f * np.abs(trade)
+        clip_hist[i] = clipped
+        C_hist[i] = C_i
 
         dead = dead | violated | (X_next <= 0)
         X = X_next
         P_prev = np.where(dead[:, None], 0.0, P)
 
-        strategy.observe(dR_all[:, i, :])
+    def public(steps):
+        """(n_paths, N, ...) view of step-major storage; one path if single."""
+        view = np.swapaxes(steps, 0, 1)
+        return view[0] if single else view
 
     book = PositionBook(
-        C=C_hist[0] if single else C_hist,
-        pi=pi_hist[0] if single else pi_hist,
-        P=P_hist[0] if single else P_hist,
-        trade=trade_hist[0] if single else trade_hist,
-        c_tilde=ct_hist[0] if single else ct_hist,
-        cash_cost=cash_hist[0] if single else cash_hist,
-        clipped=clip_hist[0] if single else clip_hist,
+        C=public(C_hist), pi=public(pi_hist), P=public(P_hist), trade=public(trade_hist),
+        c_tilde=public(ct_hist), cash_cost=public(cash_hist), clipped=public(clip_hist),
         cap=cap,
     )
     return WealthLedger(
         t_grid=t_grid,
-        X=X_hist[0] if single else X_hist,
+        X=public(X_hist),
         book=book,
         events=events,
         dead=dead[0] if single else dead,

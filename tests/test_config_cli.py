@@ -179,6 +179,44 @@ def test_cli_bad_integer_fields_exit_2_naming_the_field(tmp_path, capsys, sectio
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("strategy", "x0", "abc"),
+    ("strategy", "theta_max", "abc"),
+    ("strategy", "bound", [1.0]),
+    ("strategy", "x0", None),
+    ("market", "sigma", "abc"),
+    ("market", "rho", [[1.0, 0.3], [0.3]]),
+    ("market", "delta_t", [0.004]),
+    ("outputs", "formats", 3),
+    ("cost_sweep", "delta_ts", 0.01),
+    ("cost_sweep", "delta_ts", ["abc"]),
+    ("cost_sweep", "P_prev", "abc"),
+    ("cost_sweep", "P_now", True),
+])
+def test_cli_bad_float_and_list_fields_exit_2_naming_the_field(
+    tmp_path, capsys, section, key, value
+):
+    import yaml
+
+    tree = yaml.safe_load(MINI_YAML)
+    tree.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["cost-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_float_fields_keep_their_value_and_type():
+    cfg = config_from_dict(_tree(strategy={"x0": 1000000, "theta_max": "2.5e0"},
+                                 cost_sweep={"delta_ts": [0.5, "1e-2"], "P_prev": 3}))
+    assert cfg.strategy.x0 == 1000000 and isinstance(cfg.strategy.x0, int)
+    assert cfg.strategy.theta_max == 2.5
+    assert cfg.cost_sweep.delta_ts == (0.5, 0.01)
+    assert cfg.raw["strategy"]["x0"] == 1000000 and cfg.raw["cost_sweep"]["P_prev"] == 3
+
+
 def test_integral_floats_accepted_for_integer_fields():
     cfg = config_from_dict(_tree(market={"d": 1, "n_steps": "1.6e1"}, mc={"n_paths": 1e4}))
     assert cfg.market.n_steps == 16 and cfg.mc.n_paths == 10_000

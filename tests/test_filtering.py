@@ -16,6 +16,7 @@ from futopt import (
     neutrality_diagnostics,
     run_filter,
     run_filter_batch,
+    simulate_batch,
     simulate_path,
 )
 from futopt.filtering import default_p_cov0
@@ -174,15 +175,31 @@ def test_frozen_drift_matches_bayes_least_squares():
 
 
 def test_batch_filter_matches_single():
-    p = _params(n_steps=48)
-    paths = [simulate_path(p, seed=s) for s in range(3)]
-    delta_R = np.stack([q.delta_R() for q in paths])
-    batch = run_filter_batch(delta_R, p)
-    for i, q in enumerate(paths):
-        single = run_filter(q, p)
-        assert np.allclose(batch.beta_hat[i], single.beta_hat, atol=1e-15)
-    # gain schedule is observation independent: shared covariance
-    assert batch.p_cov.ndim == 3
+    # beta_hat and d_nu are stored step-major; the public (n_paths, ..., d)
+    # views must hold what filtering one path alone gives: bit for bit at
+    # d = 1, to rounding at d >= 2, where OpenBLAS picks its small-matmul
+    # kernel by row count and operand layout (the parent layout included)
+    two_asset = MarketParams(
+        d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
+        rho=[[1.0, 0.3], [0.3, 1.0]], alpha=[[-0.5, 0.0], [0.1, -1.0]], varsigma=0.1,
+        f=1.0, c_spread=0.0, m=0.0, r=0.0, k=1.0, F0=100.0, beta0=[0.08, -0.04],
+    )
+    for p in (_params(n_steps=40), two_asset):
+        n, d = p.n_steps, p.d
+        same = np.array_equal if d == 1 else lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)
+        delta_R = simulate_batch(p, 5, 5).delta_R()
+        batch = run_filter_batch(delta_R, p)
+        assert batch.beta_hat.shape == (5, n + 1, d)
+        assert batch.d_nu.shape == (5, n, d)
+        assert batch.nu.shape == (5, n + 1, d)
+        # gain schedule is observation independent: shared covariance
+        assert batch.p_cov.shape == (n + 1, d, d)
+        for i in (0, 2, 4):
+            single = run_filter(delta_R[i], p)
+            assert same(batch.beta_hat[i], single.beta_hat)
+            assert same(batch.d_nu[i], single.d_nu)
+            assert same(batch.nu[i], single.nu)
+            assert np.array_equal(batch.p_cov, single.p_cov)
 
 
 def test_filter_uses_only_returns():

@@ -1,0 +1,59 @@
+"""Smoke tests for scripts/: each runs end to end at a tiny size."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from futopt.config import EXPERIMENTS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_cost_frontier(tmp_path):
+    out = tmp_path / "frontier.csv"
+    proc = _run("cost_frontier.py", "--paths", 50, "--spreads", 0, 0.001, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = _rows(out)
+    assert rows[0] == ["c_spread", "mode", "mean_log_terminal", "mean_terminal"]
+    assert [(r[0], r[1]) for r in rows[1:]] == [
+        ("0.0", "soft_threshold"), ("0.0", "zero_cost"),
+        ("0.001", "soft_threshold"), ("0.001", "zero_cost"),
+    ]
+
+
+def test_drift_recovery(tmp_path):
+    out = tmp_path / "recovery.csv"
+    proc = _run("drift_recovery.py", "--paths", 50, "--steps", 40, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = _rows(out)
+    assert rows[0] == ["step", "time", "rmse", "posterior_sd"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(41))
+
+
+def test_run_pipeline(tmp_path):
+    proc = _run("run_pipeline.py", "--config", "configs/daily_backtest.yaml", "--paths", 64,
+                "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    produced = {p.name for p in tmp_path.iterdir()}
+    assert produced == {name.replace("-", "_") for name in EXPERIMENTS}
+    assert {p.name for p in (tmp_path / "backtest").iterdir()} == {
+        "ledger_0000.csv", "positions_0000.csv", "summary.json", "manifest.json",
+    }
+    for sub in produced:
+        assert (tmp_path / sub / "manifest.json").exists()

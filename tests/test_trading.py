@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futopt import (
+    LogOptimalStrategy,
     MarketParams,
     ModelError,
+    SingularModelError,
+    StrategyObs,
     approx_cost_term,
     contract_price,
     cost_term,
@@ -251,3 +254,64 @@ def test_batched_weights_match_loop():
     batch = log_optimal_weights(ups, p)
     for i in range(7):
         assert np.allclose(batch[i], log_optimal_weights(ups[i], p), atol=1e-14)
+
+
+def _solve_weights(upsilon, p, literal_product):
+    """Weights by one LU solve per call, as the policy computed them per step."""
+    M = (p.sigma if literal_product else p.sigma.T) @ p.rho @ p.sigma
+    return np.linalg.solve(M, upsilon.T).T
+
+
+def _per_step_solve_policy(obs, p, mode, literal_product):
+    """LogOptimalStrategy.weights as it was with two solves per step."""
+    pi_zc = _solve_weights(obs.beta_hat, p, literal_product)
+    if mode == "zero_cost":
+        return pi_zc
+    P_star = obs.X[..., None] * p.k * pi_zc / obs.C
+    c_hat, flagged = approx_cost_term(P_star, obs.P_prev, obs.C, p)
+    c_hat = np.where(flagged, 0.0, c_hat)
+    upsilon = np.where(flagged, 0.0, payoff_transform(obs.beta_hat, c_hat, mode))
+    return _solve_weights(upsilon, p, literal_product)
+
+
+@pytest.mark.parametrize("literal_product", [False, True])
+@pytest.mark.parametrize("mode", ["zero_cost", "soft_threshold", "literal"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_hoisted_factor_matches_per_step_solve(d, mode, literal_product):
+    if d == 1:
+        p = _params()
+    else:
+        p = _params(d=2, sigma=np.array([[0.2, 0.1], [0.0, 0.3]]),
+                    rho=np.array([[1.0, 0.4], [0.4, 1.0]]), F0=np.array([100.0, 100.0]),
+                    beta0=np.array([0.0, 0.0]), f=np.array([50.0, 50.0]),
+                    c_spread=np.array([0.5, 0.5]))
+    rng = np.random.default_rng(4)
+    n = 64
+    F = rng.uniform(50.0, 150.0, size=(n, d))
+    obs = StrategyObs(
+        n=3, t=3 * p.delta_t, F=F, C=contract_price(F, p.f), R=np.zeros((n, d)),
+        X=np.where(rng.random(n) < 0.1, 1.0, rng.uniform(0.0, 2e6, size=n)),
+        P_prev=rng.normal(scale=100.0, size=(n, d)),
+        beta_hat=rng.normal(scale=0.05, size=(n, d)),
+    )
+    strategy = LogOptimalStrategy(mode=mode, literal_product=literal_product)
+    strategy.reset(n, p)
+    got = strategy.weights(obs)
+    want = _per_step_solve_policy(obs, p, mode, literal_product)
+    assert got.shape == (n, d)
+    if d == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.allclose(log_optimal_weights(obs.beta_hat, p, literal_product),
+                       _solve_weights(obs.beta_hat, p, literal_product), rtol=1e-12, atol=0)
+
+
+def test_singular_sigma_rho_sigma_raises_in_reset():
+    p = _params(d=2, sigma=np.diag([0.2, 0.0]), rho=np.eye(2), F0=np.array([100.0, 100.0]),
+                beta0=np.array([0.0, 0.0]), f=np.array([1.0, 1.0]),
+                c_spread=np.array([0.0, 0.0]))
+    with pytest.raises(SingularModelError, match="sigma rho sigma product"):
+        LogOptimalStrategy().reset(4, p)
+    with pytest.raises(SingularModelError, match="sigma rho sigma product"):
+        log_optimal_weights(np.zeros(2), p)

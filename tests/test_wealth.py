@@ -198,13 +198,43 @@ def test_cap_event_recorded():
     assert np.all(np.abs(ledger.book.P) <= 50.0)
 
 
+def _same(a, b, exact):
+    """Bit-equal, or equal to 1e-12 relative where BLAS may round differently."""
+    if exact or a.dtype == bool:
+        return np.array_equal(a, b, equal_nan=a.dtype != bool)
+    return np.allclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
 def test_batch_matches_single_paths():
-    p = _params(varsigma=0.1, alpha=-0.5, c_spread=0.2, n_steps=64)
-    batch = simulate_batch(p, 11, 4)
-    b_ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6)
-    for i in range(4):
-        s_ledger = run_backtest(batch.path(i), LogOptimalStrategy(), p, x0=1e6)
-        assert np.allclose(b_ledger.X[i], s_ledger.X, rtol=1e-14)
+    # Histories are stored step-major; the public (n_paths, N, d) views must
+    # hold what a one-path run of the same path records.  At d = 1 that is
+    # bit for bit.  At d >= 2 OpenBLAS picks its small-matmul kernel by row
+    # count and operand layout, so a one-row product can differ from the
+    # same row of a batch product in the last bit, at the parent layout too.
+    names = ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped")
+    two_asset = MarketParams(
+        d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
+        rho=[[1.0, 0.3], [0.3, 1.0]], alpha=-0.5, varsigma=0.1, f=[50.0, 1000.0],
+        c_spread=[0.001, 0.0002], m=0.1, r=0.02, k=1.0, F0=[100.0, 2.0], beta0=[0.08, -0.04],
+    )
+    for p in (_params(varsigma=0.1, alpha=-0.5, c_spread=0.001, m=0.1, r=0.02, n_steps=40),
+              two_asset):
+        n, d = p.n_steps, p.d
+        batch = simulate_batch(p, 11, 5)
+        b_ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6)
+        assert b_ledger.X.shape == (5, n + 1)
+        assert b_ledger.beta_hat.shape == (5, n + 1, d)
+        assert b_ledger.dead.shape == (5,)
+        for name in names:
+            assert getattr(b_ledger.book, name).shape == (5, n, d)
+        assert np.count_nonzero(b_ledger.book.cash_cost) > 5 * n // 4   # it trades, at a cost
+        for i in (0, 2, 4):
+            s_ledger = run_backtest(batch.path(i), LogOptimalStrategy(), p, x0=1e6)
+            assert _same(b_ledger.X[i], s_ledger.X, d == 1)
+            for name in names:
+                assert _same(getattr(b_ledger.book, name)[i], getattr(s_ledger.book, name), d == 1)
+            assert np.array_equal(b_ledger.dead[i], s_ledger.dead)
+            assert _same(b_ledger.beta_hat[i], s_ledger.beta_hat, d == 1)
 
 
 def test_engine_cross_checks_relative_form():
