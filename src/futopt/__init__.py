@@ -17,20 +17,17 @@ from .filtering import (
     default_p_cov0,
     filter_step,
     neutrality_diagnostics,
-    run_filter,
     run_filter_batch,
 )
 from .market import (
     PathBatch,
-    PathState,
-    build_path,
+    build_batch,
     correlated_increments,
     prices_from_returns,
     read_path_csv,
     returns_from_prices,
     simulate_batch,
     simulate_drift,
-    simulate_path,
 )
 from .measure import (
     MeasureState,
@@ -57,7 +54,6 @@ from .strategies import (
 )
 from .trading import (
     PositionBook,
-    approx_cost_term,
     contract_price,
     cost_term,
     log_optimal_weights,

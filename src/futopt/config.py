@@ -114,7 +114,7 @@ def _parse_delta_t(value) -> float:
         if len(parts) == 2:
             try:
                 return float(parts[0]) / float(parts[1])
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 pass
         raise ConfigError(f"market.delta_t: cannot parse {value!r}")
     return float(_as_float(value, "market.delta_t"))
@@ -156,17 +156,35 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
-def _as_float(value, where: str):
-    """A real field; an int keeps its type, so existing config hashes do not move."""
+def _as_float(value, where: str, inf_ok: bool = False):
+    """A finite real field, or +-inf where inf_ok.
+
+    An int keeps its type, so existing config hashes do not move.
+    """
     value = _coerce_numbers(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, float) and (np.isnan(value) or (np.isinf(value) and not inf_ok)):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def _check_array(value, where: str):
+    """An array field must convert to finite floats; its value is kept as given."""
+    try:
+        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where} must be an array of finite numbers, got {value!r}")
     return value
 
 
 _INT_FIELDS = {"n_paths", "seed", "workers", "h_window", "lag"}
 _FLOAT_FIELDS = {"x0", "theta_max", "bound", "P_prev", "P_now"}
 _LIST_FIELDS = {"formats", "delta_ts"}
+_ARRAY_FIELDS = {"p_cov0", "caps", "gearing", "const_weights"}
+_BOOL_FIELDS = {"integer_contracts", "literal_product"}
 
 
 def _build_dataclass(cls, data: dict, section: str):
@@ -181,7 +199,12 @@ def _build_dataclass(cls, data: dict, section: str):
         if key in _INT_FIELDS and value is not None:
             value = _as_int(value, where)
         elif key in _FLOAT_FIELDS:
-            value = _as_float(value, where)
+            # theta_max: .inf means no cap on the relative risk
+            value = _as_float(value, where, inf_ok=key == "theta_max")
+        elif key in _ARRAY_FIELDS and value is not None:
+            value = _check_array(value, where)
+        elif key in _BOOL_FIELDS and not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
         elif key in _LIST_FIELDS:
             if not isinstance(value, list):
                 raise ConfigError(f"{where} must be a list, got {value!r}")

@@ -9,7 +9,6 @@ only field allowed to differ.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 from dataclasses import dataclass, field
@@ -22,11 +21,11 @@ from . import __version__ as _pkg_version
 from .config import ScenarioConfig, build_strategy
 from .errors import ConfigError
 from .filtering import run_filter_batch
-from .market import PathState, returns_from_prices, simulate_batch
-from .measure import MeasureState, build_measure_state, relative_risk, zeta_projection
+from .market import PathBatch, returns_from_prices, simulate_batch
+from .measure import build_measure_state, relative_risk, zeta_projection
 from .montecarlo import chunk_layout, run_chunked
 from .strategies import LaggedEstimateStrategy, LogOptimalStrategy, MaskedStrategy, ScaledStrategy
-from .trading import PositionBook, cost_term, write_position_ledger
+from .trading import cost_term, write_position_ledger
 from .utility import (
     conjugate,
     conjugate_grid_sup,
@@ -37,7 +36,7 @@ from .utility import (
     power_utility,
     validate_utility,
 )
-from .wealth import WealthLedger, run_backtest, summary_dict, write_wealth_csv
+from .wealth import run_backtest, summary_dict, write_wealth_csv
 
 __all__ = ["ExperimentResult", "run_experiment", "ingest_prices"]
 
@@ -80,12 +79,12 @@ def _manifest(cfg: ScenarioConfig, out: Path, n_paths: int, seed: int) -> Path:
     return path
 
 
-def ingest_prices(csv_path: str | Path, f) -> PathState:
-    """Build a PathState from observed prices: (time, price_1..price_d) CSV.
+def ingest_prices(csv_path: str | Path, f) -> PathBatch:
+    """Build a one-path batch from observed prices: (time, price_1..price_d) CSV.
 
     Times must be strictly increasing and equidistant; prices must be
     positive.  Latent fields stay unset, and returns are derived from the
-    prices so downstream filtering works unchanged.
+    prices so downstream filtering and backtesting work unchanged.
     """
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -121,7 +120,7 @@ def ingest_prices(csv_path: str | Path, f) -> PathState:
     if f.shape != (d,) or np.any(f <= 0):
         raise ConfigError("contract unit values f must be positive, one per asset")
 
-    return PathState(t_grid=t, F=F, R=returns_from_prices(F), beta=None, dW=None, dW2=None)
+    return PathBatch(t_grid=t, F=F[None], R=returns_from_prices(F)[None])
 
 
 # -- individual experiments -------------------------------------------------
@@ -139,7 +138,7 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         guard_total += int(batch.guard_events.sum())
         for i in range(size):
             p = out / f"path_{start + i:04d}.csv"
-            batch.path(i).to_csv(p)
+            batch.to_csv(p, i)
             artifacts.append(str(p))
     frac = guard_total / (n_paths * params.n_steps * params.d)
     checks = [
@@ -163,29 +162,6 @@ def _strategy_measure(batch, ledger, params, theta_max):
     return build_measure_state(theta, batch.dW, params, theta_max)
 
 
-def _slice_ledger(ledger: WealthLedger, i: int) -> WealthLedger:
-    b = ledger.book
-    return WealthLedger(
-        t_grid=ledger.t_grid,
-        X=ledger.X[i],
-        book=PositionBook(
-            C=b.C[i], pi=b.pi[i], P=b.P[i], trade=b.trade[i],
-            c_tilde=b.c_tilde[i], cash_cost=b.cash_cost[i],
-            clipped=b.clipped[i], cap=b.cap,
-        ),
-        events=[e for e in ledger.events if e[0] == i],
-        dead=ledger.dead[i : i + 1] if ledger.dead is not None else None,
-        beta_hat=None if ledger.beta_hat is None else ledger.beta_hat[i],
-    )
-
-
-def _slice_measure(ms: MeasureState, i: int) -> MeasureState:
-    return MeasureState(
-        theta=ms.theta[i], Z=ms.Z[i], W_tilde=ms.W_tilde[i],
-        gamma=ms.gamma, H=ms.H[i], n_capped=ms.n_capped,
-    )
-
-
 def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
     params = cfg.market
     s = cfg.strategy
@@ -194,7 +170,8 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     p_cov0 = None if s.p_cov0 is None else np.asarray(s.p_cov0, float)
 
     summary: dict = {}
-    path0: list = []
+    ledger_csv = out / "ledger_0000.csv"
+    pos_csv = out / "positions_0000.csv"
 
     def chunk(seed_seq, n_in_chunk):
         batch = simulate_batch(run_params, seed_seq, n_in_chunk)
@@ -204,9 +181,10 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         )
         measure = _strategy_measure(batch, ledger, run_params, s.theta_max)
         if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked
-            # Only scalars and path-0 copies outlive the chunk, not the batch.
+            # Scalars and path-0 reports come from chunk 0; no array outlives it.
             summary.update(summary_dict(ledger, run_params, s.x0, measure, s.h_window))
-            path0[:] = copy.deepcopy((_slice_ledger(ledger, 0), _slice_measure(measure, 0), batch.F[0]))
+            write_wealth_csv(ledger_csv, ledger, measure)
+            write_position_ledger(pos_csv, ledger.book, batch.F, ledger.t_grid)
         return {
             "terminal_wealth": ledger.terminal(),
             "balance_HX": measure.H[:, -1] * ledger.terminal(),
@@ -214,15 +192,7 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         }
 
     stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
-    ledger0, measure0, F0 = path0
-
-    artifacts = []
-    ledger_csv = out / "ledger_0000.csv"
-    write_wealth_csv(ledger_csv, ledger0, measure0)
-    artifacts.append(str(ledger_csv))
-    pos_csv = out / "positions_0000.csv"
-    write_position_ledger(pos_csv, ledger0.book, F0, ledger0.t_grid)
-    artifacts.append(str(pos_csv))
+    artifacts = [str(ledger_csv), str(pos_csv)]
 
     bal = stats["balance_HX"]
     summary.update(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SingularModelError
-from .market import PathState
+from .market import PathBatch
 from .params import MarketParams
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "FilterHistory",
     "default_p_cov0",
     "filter_step",
-    "run_filter",
     "run_filter_batch",
     "neutrality_diagnostics",
     "DiagnosticsReport",
@@ -64,9 +63,9 @@ class _FilterMats:
     """Precomputed matrices shared by every filter step."""
 
     def __init__(self, params: MarketParams):
-        d, dt = params.d, params.delta_t
-        if np.linalg.matrix_rank(params.sigma) < d:
+        if not params.sigma_invertible():
             raise SingularModelError("volatility matrix sigma")
+        d, dt = params.d, params.delta_t
         self.dt = dt
         self.A = np.eye(d) + params.alpha * dt
         self.Q = params.varsigma @ params.varsigma.T * dt
@@ -120,7 +119,7 @@ def filter_step(state: FilterState, delta_R: np.ndarray, params: MarketParams) -
 
 @dataclass
 class FilterHistory:
-    """Full filter trajectory over a path (or batch of paths).
+    """Full filter trajectory over a batch of paths.
 
     beta_hat rows are the estimates available at the start of each step;
     d_nu holds the N innovation increments and nu their running sum with
@@ -129,35 +128,16 @@ class FilterHistory:
     strided and keeps the whole batch alive, so copy what must outlive it.
     """
 
-    beta_hat: np.ndarray     # (..., N + 1, d)
+    beta_hat: np.ndarray     # (n_paths, N + 1, d)
     p_cov: np.ndarray        # (N + 1, d, d), shared across paths
-    d_nu: np.ndarray         # (..., N, d)
+    d_nu: np.ndarray         # (n_paths, N, d)
 
     @property
     def nu(self) -> np.ndarray:
-        out = np.zeros(self.d_nu.shape[:-2] + (self.d_nu.shape[-2] + 1, self.d_nu.shape[-1]))
-        np.cumsum(self.d_nu, axis=-2, out=out[..., 1:, :])
+        n_paths, n, d = self.d_nu.shape
+        out = np.zeros((n_paths, n + 1, d))
+        np.cumsum(self.d_nu, axis=1, out=out[:, 1:, :])
         return out
-
-
-def _resolve_returns(path_or_returns) -> np.ndarray:
-    if isinstance(path_or_returns, PathState):
-        return path_or_returns.delta_R()
-    return np.asarray(path_or_returns, dtype=float)
-
-
-def run_filter(
-    path_or_returns,
-    params: MarketParams,
-    p_cov0: np.ndarray | None = None,
-    beta_hat0: np.ndarray | None = None,
-) -> FilterHistory:
-    """Filter a single path; consumes only its return increments."""
-    delta_R = _resolve_returns(path_or_returns)
-    if delta_R.ndim != 2:
-        raise ModelError("expected a single path of return increments (N, d)")
-    hist = run_filter_batch(delta_R[None], params, p_cov0, beta_hat0)
-    return FilterHistory(beta_hat=hist.beta_hat[0], p_cov=hist.p_cov, d_nu=hist.d_nu[0])
 
 
 def run_filter_batch(
@@ -222,17 +202,15 @@ class DiagnosticsReport:
 
 
 def neutrality_diagnostics(
-    filter_hist: FilterHistory, path: PathState, params: MarketParams
+    filter_hist: FilterHistory, paths: PathBatch, params: MarketParams
 ) -> DiagnosticsReport:
-    """Check that innovations look like model noise and ignore price levels.
+    """Check that path 0's innovations look like model noise and ignore prices.
 
     Computes per-component innovation means, the sample covariance against
     its target rho dt, and the correlation between each innovation component
     and the matching futures price at the step start.
     """
-    d_nu = filter_hist.d_nu
-    if d_nu.ndim != 2:
-        raise ModelError("diagnostics expect a single-path filter history")
+    d_nu = filter_hist.d_nu[0]
     n, d = d_nu.shape
     if n < 30:
         raise ModelError(f"need at least 30 steps for diagnostics, got {n}")
@@ -253,7 +231,7 @@ def neutrality_diagnostics(
             se = np.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / (n - 1))
             rows.append(("innovation_cov_error", f"{i + 1},{j + 1}", float(cov[i, j] - target[i, j]), float(se)))
 
-    F_at_start = path.F[:-1, :]
+    F_at_start = paths.F[0, :-1, :]
     for i in range(d):
         x, y = d_nu[:, i], F_at_start[:n, i]
         corr = float(np.corrcoef(x, y)[0, 1])

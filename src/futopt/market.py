@@ -16,7 +16,7 @@ driven by a second, independent Brownian increment stream.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,11 @@ from .errors import ModelError
 from .params import MarketParams
 
 __all__ = [
-    "PathState",
     "PathBatch",
     "correlated_increments",
     "simulate_drift",
-    "simulate_path",
     "simulate_batch",
-    "build_path",
+    "build_batch",
     "returns_from_prices",
     "prices_from_returns",
     "read_path_csv",
@@ -39,71 +37,21 @@ __all__ = [
 
 
 @dataclass
-class PathState:
-    """One simulated (or ingested) market path on the grid t_0 .. t_N.
+class PathBatch:
+    """Market paths sharing one grid t_0 .. t_N; a single path is a batch of one.
 
-    F, R and beta have N + 1 rows; the increment arrays dW, dW2 have N rows.
-    Latent fields are None for paths ingested from price data alone.
+    F, R and beta have N + 1 rows per path, the increments dW, dW2 have N.
+    The latent fields (beta, dW, dW2, guard_events) are None for paths
+    ingested from price data alone.
     """
 
     t_grid: np.ndarray
-    F: np.ndarray
+    F: np.ndarray                             # (n_paths, N + 1, d)
     R: np.ndarray
     beta: np.ndarray | None = None
-    dW: np.ndarray | None = None
+    dW: np.ndarray | None = None              # (n_paths, N, d)
     dW2: np.ndarray | None = None
-    guard_events: int = 0
-    guard_warning: bool = False
-
-    @property
-    def n_steps(self) -> int:
-        return self.F.shape[0] - 1
-
-    @property
-    def d(self) -> int:
-        return self.F.shape[1]
-
-    def delta_R(self) -> np.ndarray:
-        return np.diff(self.R, axis=0)
-
-    def delta_F(self) -> np.ndarray:
-        return np.diff(self.F, axis=0)
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write (time, F_1..F_d, R_1..R_d, beta_1..beta_d) rows."""
-        d = self.d
-        header = (
-            ["time"]
-            + [f"F_{i + 1}" for i in range(d)]
-            + [f"R_{i + 1}" for i in range(d)]
-            + [f"beta_{i + 1}" for i in range(d)]
-        )
-        beta = self.beta
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for n in range(self.n_steps + 1):
-                row = [repr(float(self.t_grid[n]))]
-                row += [repr(float(v)) for v in self.F[n]]
-                row += [repr(float(v)) for v in self.R[n]]
-                if beta is not None:
-                    row += [repr(float(v)) for v in beta[n]]
-                else:
-                    row += [""] * d
-                writer.writerow(row)
-
-
-@dataclass
-class PathBatch:
-    """A set of paths sharing one grid; arrays carry a leading path axis."""
-
-    t_grid: np.ndarray
-    F: np.ndarray       # (n_paths, N + 1, d)
-    R: np.ndarray
-    beta: np.ndarray
-    dW: np.ndarray      # (n_paths, N, d)
-    dW2: np.ndarray
-    guard_events: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    guard_events: np.ndarray | None = None    # (n_paths,)
 
     @property
     def n_paths(self) -> int:
@@ -113,19 +61,36 @@ class PathBatch:
     def n_steps(self) -> int:
         return self.F.shape[1] - 1
 
+    @property
+    def d(self) -> int:
+        return self.F.shape[2]
+
     def delta_R(self) -> np.ndarray:
         return np.diff(self.R, axis=1)
 
-    def path(self, i: int) -> PathState:
-        return PathState(
-            t_grid=self.t_grid,
-            F=self.F[i],
-            R=self.R[i],
-            beta=self.beta[i],
-            dW=self.dW[i],
-            dW2=self.dW2[i],
-            guard_events=int(self.guard_events[i]),
+    def to_csv(self, path: str | Path, i: int) -> None:
+        """Write path i as (time, F_1..F_d, R_1..R_d, beta_1..beta_d) rows."""
+        d = self.d
+        header = (
+            ["time"]
+            + [f"F_{j + 1}" for j in range(d)]
+            + [f"R_{j + 1}" for j in range(d)]
+            + [f"beta_{j + 1}" for j in range(d)]
         )
+        F, R = self.F[i], self.R[i]
+        beta = None if self.beta is None else self.beta[i]
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for n in range(self.n_steps + 1):
+                row = [repr(float(self.t_grid[n]))]
+                row += [repr(float(v)) for v in F[n]]
+                row += [repr(float(v)) for v in R[n]]
+                if beta is not None:
+                    row += [repr(float(v)) for v in beta[n]]
+                else:
+                    row += [""] * d
+                writer.writerow(row)
 
 
 # -- increment generation ---------------------------------------------------
@@ -177,13 +142,8 @@ def simulate_drift(params: MarketParams, dW2: np.ndarray) -> np.ndarray:
     return beta
 
 
-def build_path(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathState:
-    """Deterministically assemble a path from given increment arrays."""
-    batch = _assemble(params, dW[None], dW2[None])
-    return batch.path(0)
-
-
-def _assemble(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathBatch:
+def build_batch(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathBatch:
+    """Deterministically assemble paths from (n_paths, N, d) increment arrays."""
     n_paths, n, d = dW.shape
     dt = params.delta_t
     beta = simulate_drift(params, dW2)
@@ -232,16 +192,7 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     z = _generator(ss_w).standard_normal((n_paths, n, d))
     dW = np.sqrt(params.delta_t) * (z @ L.T)
     dW2 = _independent_increments(params, ss_w2, (n_paths, n, d))
-    return _assemble(params, dW, dW2)
-
-
-def simulate_path(params: MarketParams, seed) -> PathState:
-    """Simulate a single path; see simulate_batch for the RNG contract."""
-    batch = simulate_batch(params, seed, 1)
-    path = batch.path(0)
-    frac = path.guard_events / (params.n_steps * params.d)
-    path.guard_warning = frac > params.guard_warn_fraction
-    return path
+    return build_batch(params, dW, dW2)
 
 
 # -- price / return conversions --------------------------------------------
@@ -266,8 +217,8 @@ def prices_from_returns(F0: np.ndarray, R: np.ndarray) -> np.ndarray:
     return F
 
 
-def read_path_csv(path: str | Path) -> PathState:
-    """Read a path previously written by PathState.to_csv."""
+def read_path_csv(path: str | Path) -> PathBatch:
+    """Read a path written by PathBatch.to_csv, as a batch of one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -278,7 +229,7 @@ def read_path_csv(path: str | Path) -> PathState:
     R = np.array([[float(v) for v in r[1 + d : 1 + 2 * d]] for r in rows])
     beta_cells = [r[1 + 2 * d : 1 + 3 * d] for r in rows]
     if all(all(c != "" for c in row) for row in beta_cells):
-        beta = np.array([[float(v) for v in row] for row in beta_cells])
+        beta = np.array([[[float(v) for v in row] for row in beta_cells]])
     else:
         beta = None
-    return PathState(t_grid=t, F=F, R=R, beta=beta)
+    return PathBatch(t_grid=t, F=F[None], R=R[None], beta=beta)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelError
 from .params import MarketParams
-from .trading import approx_cost_term, log_optimal_factor, payoff_transform
+from .trading import cost_term, log_optimal_factor, payoff_transform
 
 __all__ = [
     "StrategyObs",
@@ -132,7 +132,7 @@ class LogOptimalStrategy(Strategy):
             return pi_zc
 
         P_star = obs.X[..., None] * params.k * pi_zc / obs.C
-        c_hat, flagged = approx_cost_term(P_star, obs.P_prev, obs.C, params)
+        c_hat, flagged = cost_term(P_star, obs.P_prev, obs.C, params)
         c_hat = np.where(flagged, 0.0, c_hat)
         upsilon = payoff_transform(obs.beta_hat, c_hat, self.mode)
         upsilon = np.where(flagged, 0.0, upsilon)

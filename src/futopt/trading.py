@@ -25,7 +25,6 @@ __all__ = [
     "contract_price",
     "position_from_weights",
     "cost_term",
-    "approx_cost_term",
     "payoff_transform",
     "log_optimal_factor",
     "log_optimal_weights",
@@ -108,22 +107,6 @@ def cost_term(
     return c_tilde, flagged
 
 
-def approx_cost_term(
-    P_star: np.ndarray,
-    P_prev: np.ndarray,
-    C: np.ndarray,
-    params: MarketParams,
-    threshold: float = ZERO_POSITION_THRESHOLD,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cost estimate anchored at the zero-cost optimal position P_star.
-
-    Same formula as cost_term but with the hypothetical trade P_prev ->
-    P_star and P_star in the denominator, so the estimate is available
-    before the actual trade is chosen.  Carries the sign of P_star.
-    """
-    return cost_term(P_star, P_prev, C, params, threshold)
-
-
 def payoff_transform(
     beta_hat: np.ndarray, c_hat: np.ndarray, mode: str = "soft_threshold"
 ) -> np.ndarray:
@@ -170,25 +153,23 @@ def log_optimal_weights(
 
 @dataclass
 class PositionBook:
-    """Per-step record of positions and trading costs along a path."""
+    """Per-step record of positions and trading costs along each path."""
 
-    C: np.ndarray            # (..., N, d) contract prices at step start
-    pi: np.ndarray           # (..., N, d) weights as traded
-    P: np.ndarray            # (..., N, d) positions in contracts
-    trade: np.ndarray        # (..., N, d) signed contract changes
-    c_tilde: np.ndarray      # (..., N, d) relative cost, NaN where flagged
-    cash_cost: np.ndarray    # (..., N, d) cash slippage paid
-    clipped: np.ndarray      # (..., N, d) bool
+    C: np.ndarray            # (n_paths, N, d) contract prices at step start
+    pi: np.ndarray           # (n_paths, N, d) weights as traded
+    P: np.ndarray            # (n_paths, N, d) positions in contracts
+    trade: np.ndarray        # (n_paths, N, d) signed contract changes
+    c_tilde: np.ndarray      # (n_paths, N, d) relative cost, NaN where flagged
+    cash_cost: np.ndarray    # (n_paths, N, d) cash slippage paid
+    clipped: np.ndarray      # (n_paths, N, d) bool
     cap: np.ndarray | None = None
 
 
 def write_position_ledger(path, book: PositionBook, F: np.ndarray, t_grid: np.ndarray) -> None:
-    """Long-format CSV: one row per (time, asset)."""
+    """Long-format CSV of path 0: one row per (time, asset); F is (n_paths, N + 1, d)."""
     import csv
 
-    if book.P.ndim != 2:
-        raise ModelError("ledger writer expects a single-path position book")
-    n, d = book.P.shape
+    _, n, d = book.P.shape
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -201,13 +182,13 @@ def write_position_ledger(path, book: PositionBook, F: np.ndarray, t_grid: np.nd
                     [
                         repr(float(t_grid[i])),
                         j + 1,
-                        repr(float(F[i, j])),
-                        repr(float(book.C[i, j])),
-                        repr(float(book.pi[i, j])),
-                        repr(float(book.P[i, j])),
-                        repr(float(book.trade[i, j])),
-                        repr(float(book.c_tilde[i, j])),
-                        repr(float(book.cash_cost[i, j])),
-                        int(book.clipped[i, j]),
+                        repr(float(F[0, i, j])),
+                        repr(float(book.C[0, i, j])),
+                        repr(float(book.pi[0, i, j])),
+                        repr(float(book.P[0, i, j])),
+                        repr(float(book.trade[0, i, j])),
+                        repr(float(book.c_tilde[0, i, j])),
+                        repr(float(book.cash_cost[0, i, j])),
+                        int(book.clipped[0, i, j]),
                     ]
                 )

@@ -146,6 +146,27 @@ def conjugate(u: UtilitySpec, y) -> np.ndarray:
     return u.u(i) - i * y
 
 
+def _golden_section_max(f: Callable[[float], float], a: float, b: float, n_iter: int):
+    """Golden-section search (Kiefer 1953) for a maximum of f on [a, b].
+
+    Returns the final bracket (a, b) and f at its two interior points.
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(n_iter):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return a, b, fc, fd
+
+
 def conjugate_grid_sup(
     u: UtilitySpec,
     y: float,
@@ -167,21 +188,11 @@ def conjugate_grid_sup(
     lo = x[max(j - 1, 0)]
     hi = x[min(j + 1, n_grid - 1)]
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = u.u(np.exp(c)) - np.exp(c) * y
-    fd = u.u(np.exp(d)) - np.exp(d) * y
-    for _ in range(n_refine):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = u.u(np.exp(c)) - np.exp(c) * y
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = u.u(np.exp(d)) - np.exp(d) * y
+    def objective(t: float) -> float:
+        xt = np.exp(t)
+        return u.u(xt) - xt * y
+
+    a, b, _, _ = _golden_section_max(objective, np.log(lo), np.log(hi), n_refine)
     x_star = np.exp(0.5 * (a + b))
     return float(max(vals[j], u.u(x_star) - x_star * y))
 
@@ -196,24 +207,13 @@ def double_conjugate_grid(u: UtilitySpec, x: float, n_grid: int = 4001, n_refine
     lo = y[max(j - 1, 0)]
     hi = y[min(j + 1, n_grid - 1)]
 
-    def objective(yy: float) -> float:
-        return conjugate_grid_sup(u, yy, n_grid=801, n_refine=40) + x * yy
+    def neg_objective(t: float) -> float:
+        yy = np.exp(t)
+        return -(conjugate_grid_sup(u, yy, n_grid=801, n_refine=40) + x * yy)
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(np.exp(c)), objective(np.exp(d))
-    for _ in range(n_refine):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(np.exp(d))
-    return float(min(vals[j], fc, fd))
+    # Maximizing the negated objective: -fc > -fd branches as fc < fd, ties and NaN too.
+    _, _, fc, fd = _golden_section_max(neg_objective, np.log(lo), np.log(hi), n_refine)
+    return float(min(vals[j], -fc, -fd))
 
 
 # -- budget calibration -----------------------------------------------------
@@ -251,7 +251,7 @@ def lagrange_multiplier(
     u: UtilitySpec,
     lo: float = 1e-12,
     hi: float = 1e12,
-    rtol: float = 1e-10,
+    rtol: float = 1e-14,
     max_iter: int = 200,
 ) -> float:
     """Invert big_X by bisection: the y with E[H I(y H)] = x0.
@@ -293,36 +293,17 @@ def optimal_terminal_wealth(
 ) -> np.ndarray:
     """Candidate optimal terminal wealth xi = I(y* H).
 
-    y* is taken as given, computed from the closed form when the utility
-    offers one, or calibrated by bisection against H_samples (defaulting to
-    H_terminal itself).
+    y* is taken as given or calibrated by bisection against H_samples
+    (defaulting to H_terminal itself); big_X supplies the closed form for
+    utilities that have one.
     """
     H_terminal = np.asarray(H_terminal, dtype=float)
     if np.any(H_terminal <= 0):
         raise ModelError("state price density samples must be positive")
     if multiplier is None:
-        if u.big_x_exact is not None:
-            multiplier = _invert_exact(x0, u)
-        else:
-            samples = H_terminal if H_samples is None else H_samples
-            multiplier = lagrange_multiplier(x0, samples, u)
+        samples = H_terminal if H_samples is None else H_samples
+        multiplier = lagrange_multiplier(x0, samples, u)
     return u.inverse_marginal(multiplier * H_terminal)
-
-
-def _invert_exact(x0: float, u: UtilitySpec, lo: float = 1e-12, hi: float = 1e12) -> float:
-    g = lambda y: u.big_x_exact(y) - x0
-    if not (g(lo) > 0 > g(hi)):
-        raise ModelError("closed-form big_X does not bracket the budget")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = np.sqrt(a * b)
-        if g(mid) > 0:
-            a = mid
-        else:
-            b = mid
-        if (b - a) <= 1e-14 * b:
-            break
-    return float(np.sqrt(a * b))
 
 
 # -- log-utility closed forms ----------------------------------------------

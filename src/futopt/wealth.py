@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ModelError
 from .filtering import run_filter_batch
-from .market import PathBatch, PathState
+from .market import PathBatch
 from .measure import MeasureState
 from .params import MarketParams
 from .strategies import Strategy, StrategyObs
@@ -88,26 +88,25 @@ def step_wealth_cash(
 
 @dataclass
 class WealthLedger:
-    """Backtest output: wealth path plus the per-step trading record.
+    """Backtest output: wealth paths plus the per-step trading record.
 
-    Arrays carry a leading path axis when the backtest ran on a batch.
-    events is a list of (path, step, kind) tuples for guard, clip, zero-cost
+    Arrays carry a leading path axis.  events is a list of (path, step, kind) tuples for guard, clip, zero-cost
     fallback and admissibility incidents.
     """
 
     t_grid: np.ndarray
-    X: np.ndarray                     # (..., N + 1)
+    X: np.ndarray                     # (n_paths, N + 1)
     book: PositionBook
     events: list[tuple[int, int, str]] = field(default_factory=list)
-    dead: np.ndarray | None = None    # (...,) bool, absorbed at zero
+    dead: np.ndarray | None = None    # (n_paths,) bool, absorbed at zero
     beta_hat: np.ndarray | None = None
 
     def terminal(self) -> np.ndarray:
-        return self.X[..., -1]
+        return self.X[:, -1]
 
 
 def run_backtest(
-    paths: PathState | PathBatch,
+    paths: PathBatch,
     strategy: Strategy,
     params: MarketParams,
     x0: float,
@@ -133,16 +132,15 @@ def run_backtest(
     """
     if x0 < 0:
         raise ModelError("initial wealth must be nonnegative")
-    single = isinstance(paths, PathState)
-    F = paths.F[None] if single else paths.F
-    R = paths.R[None] if single else paths.R
+    F, R = paths.F, paths.R
     n_paths, n_grid, d = F.shape
     n = n_grid - 1
     t_grid = paths.t_grid
     F_steps = np.ascontiguousarray(F.transpose(1, 0, 2))
 
     if params.sigma_invertible():
-        dR_all = paths.delta_R()[None] if single else paths.delta_R()
+        # Bound for the whole loop: passed inline it raised peak RSS (heap layout).
+        dR_all = paths.delta_R()
         beta_hat_all = run_filter_batch(dR_all, params, p_cov0, beta_hat0).beta_hat
         beta_steps = beta_hat_all.transpose(1, 0, 2)   # the filter's own storage
     else:
@@ -214,9 +212,8 @@ def run_backtest(
         P_prev = np.where(dead[:, None], 0.0, P)
 
     def public(steps):
-        """(n_paths, N, ...) view of step-major storage; one path if single."""
-        view = np.swapaxes(steps, 0, 1)
-        return view[0] if single else view
+        """(n_paths, N, ...) view of step-major storage."""
+        return np.swapaxes(steps, 0, 1)
 
     book = PositionBook(
         C=public(C_hist), pi=public(pi_hist), P=public(P_hist), trade=public(trade_hist),
@@ -228,8 +225,8 @@ def run_backtest(
         X=public(X_hist),
         book=book,
         events=events,
-        dead=dead[0] if single else dead,
-        beta_hat=None if beta_hat_all is None else (beta_hat_all[0] if single else beta_hat_all),
+        dead=dead,
+        beta_hat=beta_hat_all,
     )
 
 
@@ -239,15 +236,12 @@ def discounted_series(ledger: WealthLedger, measure: MeasureState) -> tuple[np.n
 
 
 def realized_monetary_vol(ledger: WealthLedger, params: MarketParams, window: int = 20) -> float:
-    """Annualized std of per-step position gains relative to wealth.
+    """Annualized std of path 0's per-step position gains relative to wealth.
 
     The gain over step i, P_i* diag(f) dF_i, is recovered exactly from the
     ledger as the wealth change net of interest plus the slippage paid.
     """
-    X = ledger.X
-    cash = ledger.book.cash_cost
-    if X.ndim != 1:
-        X, cash = X[0], cash[0]
+    X, cash = ledger.X[0], ledger.book.cash_cost[0]
     n = cash.shape[0]
     interest = (1.0 - params.m) * params.r * params.delta_t * X[:n]
     gains = np.diff(X) - interest + cash.sum(axis=-1)
@@ -263,14 +257,13 @@ def write_wealth_csv(
     ledger: WealthLedger,
     measure: MeasureState | None = None,
 ) -> None:
-    """Per-time CSV with wealth, discounted wealth, and per-asset columns."""
-    X = ledger.X
-    if X.ndim != 1:
-        raise ModelError("wealth CSV writer expects a single-path ledger")
+    """Per-time CSV of path 0: wealth, discounted wealth, per-asset columns."""
+    X = ledger.X[0]
     n = X.shape[0] - 1
-    d = ledger.book.P.shape[-1]
+    book = ledger.book
+    d = book.P.shape[-1]
     gamma_X = measure.gamma * X if measure is not None else np.full(n + 1, np.nan)
-    H_X = measure.H * X if measure is not None else np.full(n + 1, np.nan)
+    H_X = measure.H[0] * X if measure is not None else np.full(n + 1, np.nan)
 
     header = ["time", "wealth", "discounted_wealth", "H_wealth"]
     for j in range(d):
@@ -285,11 +278,11 @@ def write_wealth_csv(
             for j in range(d):
                 if i < n:
                     row += [
-                        repr(float(ledger.book.pi[i, j])),
-                        repr(float(ledger.book.P[i, j])),
-                        repr(float(ledger.book.trade[i, j])),
-                        repr(float(ledger.book.c_tilde[i, j])),
-                        repr(float(ledger.book.cash_cost[i, j])),
+                        repr(float(book.pi[0, i, j])),
+                        repr(float(book.P[0, i, j])),
+                        repr(float(book.trade[0, i, j])),
+                        repr(float(book.c_tilde[0, i, j])),
+                        repr(float(book.cash_cost[0, i, j])),
                     ]
                 else:
                     row += [""] * 5
@@ -304,7 +297,7 @@ def summary_dict(
     h_window: int = 20,
 ) -> dict:
     """Aggregate statistics for the summary JSON artifact."""
-    X_T = np.atleast_1d(ledger.terminal())
+    X_T = ledger.terminal()
     n_paths = X_T.shape[0]
     out = {
         "n_paths": int(n_paths),
@@ -316,11 +309,11 @@ def summary_dict(
         "admissibility_violations": sum(1 for _, _, kind in ledger.events if kind == "admissibility"),
         "clip_events": sum(1 for _, _, kind in ledger.events if kind.startswith("clip")),
         "cash_cost_fallbacks": sum(1 for _, _, kind in ledger.events if kind.startswith("cash_cost_fallback")),
-        "dead_paths": int(np.count_nonzero(np.atleast_1d(ledger.dead))) if ledger.dead is not None else 0,
+        "dead_paths": int(np.count_nonzero(ledger.dead)) if ledger.dead is not None else 0,
         "realized_monetary_vol": realized_monetary_vol(ledger, params, h_window),
     }
     if measure is not None:
-        HX_T = np.atleast_1d(measure.H[..., -1] * ledger.X[..., -1])
+        HX_T = measure.H[:, -1] * X_T
         mean = float(HX_T.mean())
         se = float(HX_T.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
         out["budget_mean_HX"] = mean

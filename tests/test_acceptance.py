@@ -22,8 +22,8 @@ from futopt import (
     ScaledStrategy,
     ZeroStrategy,
     big_X,
+    build_batch,
     build_measure_state,
-    build_path,
     conjugate,
     conjugate_grid_sup,
     contract_price,
@@ -38,9 +38,8 @@ from futopt import (
     relative_risk,
     run_backtest,
     run_chunked,
-    run_filter,
+    run_filter_batch,
     simulate_batch,
-    simulate_path,
     step_wealth_cash,
     validate_utility,
 )
@@ -97,8 +96,8 @@ def test_c02_innovations_market_neutral():
     p = _mk(d=2, n_steps=100_000, rho=RHO2, sigma=0.2, alpha=-0.5,
             varsigma=0.1, f=np.array([50.0, 50.0]),
             F0=np.array([100.0, 100.0]), beta0=np.array([0.05, -0.05]))
-    path = simulate_path(p, seed=7)
-    hist = run_filter(path, p)
+    path = simulate_batch(p, 7, 1)
+    hist = run_filter_batch(path.delta_R(), p)
     report = neutrality_diagnostics(hist, path, p)
 
     n = p.n_steps
@@ -127,9 +126,9 @@ def test_c02_innovations_market_neutral():
 def test_c03_filter_matches_joint_gaussian_conditioning():
     """Ten-step recursive estimate equals brute-force conditioning to 1e-8."""
     p = _mk(n_steps=10, alpha=-0.4, varsigma=0.15)
-    path = simulate_path(p, seed=101)
+    delta_R = simulate_batch(p, 101, 1).delta_R()
     p0, b0 = 0.02, 0.05
-    hist = run_filter(path, p, p_cov0=np.array([[p0]]), beta_hat0=np.array([b0]))
+    hist = run_filter_batch(delta_R, p, p_cov0=np.array([[p0]]), beta_hat0=np.array([b0]))
 
     # Brute force: assemble Cov(beta_N, dR_0..dR_9) and condition directly.
     n, dt = 10, p.delta_t
@@ -143,10 +142,10 @@ def test_c03_filter_matches_joint_gaussian_conditioning():
     cov_rr = cov_bb[:n, :n] * dt * dt + p.sigma[0, 0] ** 2 * dt * np.eye(n)
     cov_tr = cov_bb[n, :n] * dt
     mean_beta = b0 * a ** np.arange(n + 1)
-    w = np.linalg.solve(cov_rr, path.delta_R()[:, 0] - mean_beta[:n] * dt)
+    w = np.linalg.solve(cov_rr, delta_R[0, :, 0] - mean_beta[:n] * dt)
     oracle = mean_beta[n] + cov_tr @ w
 
-    rel = abs(hist.beta_hat[-1, 0] - oracle) / abs(oracle)
+    rel = abs(hist.beta_hat[0, -1, 0] - oracle) / abs(oracle)
     ok = rel <= 1e-8
     _verdict("C3 filter equals joint-Gaussian conditioning", ok,
              f"relative gap {rel:.2e}")
@@ -198,11 +197,8 @@ def test_c05_backtest_tracks_closed_form_wealth():
     for dt in (1.0 / 252, 1.0 / 504):
         p = _mk(n_steps=n, delta_t=dt)
         dW = np.sqrt(dt) * z
-        x_T = np.empty(n_paths)
-        for i in range(n_paths):
-            path = build_path(p, dW[i], np.zeros((n, 1)))
-            ledger = run_backtest(path, LogOptimalStrategy(mode="zero_cost"), p, 1.0)
-            x_T[i] = ledger.terminal()
+        batch = build_batch(p, dW, np.zeros((n_paths, n, 1)))
+        x_T = run_backtest(batch, LogOptimalStrategy(mode="zero_cost"), p, 1.0).terminal()
         xi_T = log_optimal_closed_forms(np.full((n_paths, n, 1), 0.4), dW, p, 1.0).xi[:, -1]
         gaps.append(np.max(np.abs(x_T - xi_T) / xi_T))
 

@@ -5,11 +5,16 @@ import pytest
 
 from futopt import (
     ConfigError,
+    LogOptimalStrategy,
+    MarketParams,
     ZeroStrategy,
     build_strategy,
     config_from_dict,
     ingest_prices,
     load_config,
+    run_backtest,
+    simulate_batch,
+    write_wealth_csv,
 )
 from futopt.cli import main
 
@@ -104,17 +109,38 @@ def _write(tmp_path, rows, header="time,price_1"):
 def test_ingest_constant_prices(tmp_path):
     p = _write(tmp_path, [f"{i/252},100.0" for i in range(5)])
     state = ingest_prices(p, f=50.0)
-    assert state.F.shape == (5, 1)
+    assert state.F.shape == (1, 5, 1)
     assert np.all(state.R == 0.0)
-    assert state.beta is None and state.dW is None
+    assert state.beta is None and state.dW is None and state.guard_events is None
 
 
 def test_ingest_return_arithmetic(tmp_path):
     p = _write(tmp_path, ["0.0,100.0", f"{1/252},101.0", f"{2/252},101.0"])
     state = ingest_prices(p, f=1.0)
-    dR = state.delta_R()
+    dR = state.delta_R()[0]
     assert dR[0, 0] == pytest.approx(0.01, rel=1e-12)
     assert dR[1, 0] == 0.0
+
+
+def test_backtest_on_ingested_prices_matches_simulated_batch(tmp_path):
+    # the observable prices of a simulated path, round-tripped through CSV,
+    # trade as the path itself: only the returns differ, by one rounding
+    p = MarketParams(d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
+                     rho=[[1.0, 0.3], [0.3, 1.0]], alpha=-0.5, varsigma=0.1, f=[50.0, 1000.0],
+                     c_spread=[0.001, 0.0002], m=0.1, r=0.02, k=1.0, F0=[100.0, 2.0],
+                     beta0=[0.08, -0.04])
+    sim = simulate_batch(p, 3, 1)
+    rows = [",".join(repr(float(v)) for v in (t, *F)) for t, F in zip(sim.t_grid, sim.F[0])]
+    ingested = ingest_prices(_write(tmp_path, rows, header="time,price_1,price_2"), f=p.f)
+    assert ingested.beta is None and ingested.n_paths == 1
+
+    a = run_backtest(sim, LogOptimalStrategy(), p, x0=1e6)
+    b = run_backtest(ingested, LogOptimalStrategy(), p, x0=1e6)
+    assert np.count_nonzero(a.book.P) > 0
+    assert np.allclose(b.X, a.X, rtol=1e-12, atol=0.0)
+    assert np.allclose(b.book.P, a.book.P, rtol=1e-12, atol=0.0)
+    write_wealth_csv(tmp_path / "ledger.csv", b)
+    assert len((tmp_path / "ledger.csv").read_text().splitlines()) == p.n_steps + 2
 
 
 def test_ingest_rejects_jagged_grid(tmp_path):
@@ -192,6 +218,20 @@ def test_cli_bad_integer_fields_exit_2_naming_the_field(tmp_path, capsys, sectio
     ("cost_sweep", "delta_ts", ["abc"]),
     ("cost_sweep", "P_prev", "abc"),
     ("cost_sweep", "P_now", True),
+    ("strategy", "x0", float("nan")),
+    ("strategy", "x0", float("inf")),
+    ("strategy", "bound", float("nan")),
+    ("strategy", "theta_max", float("nan")),
+    ("strategy", "theta_max", float("-inf")),
+    ("cost_sweep", "P_prev", float("nan")),
+    ("cost_sweep", "delta_ts", [0.01, float("inf")]),
+    ("market", "delta_t", "1/0"),
+    ("strategy", "caps", "abc"),
+    ("strategy", "gearing", "abc"),
+    ("strategy", "p_cov0", "abc"),
+    ("strategy", "const_weights", [1.0, float("nan")]),
+    ("strategy", "integer_contracts", 3),
+    ("strategy", "literal_product", "yes"),
 ])
 def test_cli_bad_float_and_list_fields_exit_2_naming_the_field(
     tmp_path, capsys, section, key, value
@@ -206,6 +246,18 @@ def test_cli_bad_float_and_list_fields_exit_2_naming_the_field(
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err
     assert "Traceback" not in err
+
+
+def test_cli_theta_max_inf_means_no_cap(tmp_path):
+    import yaml
+
+    tree = yaml.safe_load(MINI_YAML)
+    tree["strategy"] = {"theta_max": float("inf")}
+    cfg = tmp_path / "nocap.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    summary = (tmp_path / "o" / "summary.json").read_text()
+    assert "NaN" not in summary and "Infinity" not in summary
 
 
 def test_float_fields_keep_their_value_and_type():

@@ -182,8 +182,8 @@ def test_backtest_simulates_and_trades_each_chunk_once(tmp_path, monkeypatch):
 def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     import numpy as np
 
-    from futopt import build_strategy, run_backtest, simulate_batch, summary_dict
-    from futopt.experiments import _slice_ledger, _slice_measure, _strategy_measure
+    from futopt import build_batch, build_strategy, run_backtest, simulate_batch, summary_dict
+    from futopt.experiments import _strategy_measure
     from futopt.montecarlo import DEFAULT_CHUNK
     from futopt.trading import write_position_ledger
     from futopt.wealth import write_wealth_csv
@@ -197,11 +197,13 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     batch = simulate_batch(p, seed_seq, min(DEFAULT_CHUNK, TWO_CHUNKS["n_paths"]))
     ledger = run_backtest(batch, build_strategy(cfg), p, s.x0)
     measure = _strategy_measure(batch, ledger, p, s.theta_max)
+    # path 0 alone, as a batch of one from its own increments
+    one = build_batch(p, batch.dW[:1], batch.dW2[:1])
+    one_ledger = run_backtest(one, build_strategy(cfg), p, s.x0)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
-    path_ledger = _slice_ledger(ledger, 0)
-    write_wealth_csv(oracle / "ledger_0000.csv", path_ledger, _slice_measure(measure, 0))
-    write_position_ledger(oracle / "positions_0000.csv", path_ledger.book, batch.F[0], ledger.t_grid)
+    write_wealth_csv(oracle / "ledger_0000.csv", one_ledger, _strategy_measure(one, one_ledger, p, s.theta_max))
+    write_position_ledger(oracle / "positions_0000.csv", one_ledger.book, one.F, one.t_grid)
     for name in ("ledger_0000.csv", "positions_0000.csv"):
         assert _read_csv(tmp_path / "run" / name) == _read_csv(oracle / name)
 

@@ -14,10 +14,8 @@ from futopt import (
     MarketParams,
     SingularModelError,
     neutrality_diagnostics,
-    run_filter,
     run_filter_batch,
     simulate_batch,
-    simulate_path,
 )
 from futopt.filtering import default_p_cov0
 
@@ -67,68 +65,65 @@ def gaussian_conditioning_oracle(params, delta_R, p_cov0, beta_hat0):
 
 def test_recursive_filter_matches_gaussian_conditioning():
     p = _params(n_steps=10, alpha=-0.4, varsigma=0.15)
-    path = simulate_path(p, seed=42)
+    delta_R = simulate_batch(p, 42, 1).delta_R()
     p_cov0 = np.array([[0.02]])
     beta_hat0 = np.array([0.05])
-    hist = run_filter(path, p, p_cov0=p_cov0, beta_hat0=beta_hat0)
-    oracle = gaussian_conditioning_oracle(p, path.delta_R(), p_cov0, beta_hat0)
-    assert hist.beta_hat[-1, 0] == pytest.approx(oracle, rel=1e-8)
+    hist = run_filter_batch(delta_R, p, p_cov0=p_cov0, beta_hat0=beta_hat0)
+    oracle = gaussian_conditioning_oracle(p, delta_R[0], p_cov0, beta_hat0)
+    assert hist.beta_hat[0, -1, 0] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_oracle_agreement_across_seeds():
     p = _params(n_steps=10, alpha=-1.0, varsigma=0.2)
     for seed in (0, 1, 2, 3):
-        path = simulate_path(p, seed=seed)
-        hist = run_filter(path, p)
-        oracle = gaussian_conditioning_oracle(
-            p, path.delta_R(), default_p_cov0(p), p.beta0
-        )
-        assert hist.beta_hat[-1, 0] == pytest.approx(oracle, rel=1e-8)
+        delta_R = simulate_batch(p, seed, 1).delta_R()
+        hist = run_filter_batch(delta_R, p)
+        oracle = gaussian_conditioning_oracle(p, delta_R[0], default_p_cov0(p), p.beta0)
+        assert hist.beta_hat[0, -1, 0] == pytest.approx(oracle, rel=1e-8)
 
 
 # -- degenerate and hand-evaluated cases ------------------------------------
 
 def test_perfectly_known_drift_has_zero_gain():
     p = _params(varsigma=0.0, alpha=-1.0, delta_t=0.1, beta0=0.1, n_steps=5)
-    path = simulate_path(p, seed=0)
-    hist = run_filter(path, p, p_cov0=np.zeros((1, 1)), beta_hat0=p.beta0)
+    delta_R = simulate_batch(p, 0, 1).delta_R()
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=p.beta0)
     # beta_hat follows the deterministic recursion regardless of returns
     expected = 0.1 * 0.9 ** np.arange(6)
-    assert np.allclose(hist.beta_hat[:, 0], expected, atol=1e-15)
+    assert np.allclose(hist.beta_hat[0, :, 0], expected, atol=1e-15)
     assert np.all(hist.p_cov == 0.0)
 
 
 def test_one_step_estimate_hand_value():
     p = _params(varsigma=0.0, alpha=-1.0, delta_t=0.1, beta0=0.1, n_steps=1)
-    path = simulate_path(p, seed=0)
-    hist = run_filter(path, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.array([0.1]))
-    assert hist.beta_hat[1, 0] == pytest.approx(0.09, abs=1e-15)
+    delta_R = simulate_batch(p, 0, 1).delta_R()
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.array([0.1]))
+    assert hist.beta_hat[0, 1, 0] == pytest.approx(0.09, abs=1e-15)
 
 
 def test_innovation_hand_value():
     # d_nu = (dR - beta_pre dt) / sigma with the pre-update estimate
     p = _params(varsigma=0.0, alpha=0.0, beta0=0.08, n_steps=1)
-    delta_R = np.array([[0.01]])
-    hist = run_filter(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.array([0.08]))
-    assert hist.d_nu[0, 0] == pytest.approx((0.01 - 0.08 / 252) / 0.2, rel=1e-12)
-    assert hist.d_nu[0, 0] == pytest.approx(0.0484127, abs=5e-8)
+    delta_R = np.array([[[0.01]]])
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.array([0.08]))
+    assert hist.d_nu[0, 0, 0] == pytest.approx((0.01 - 0.08 / 252) / 0.2, rel=1e-12)
+    assert hist.d_nu[0, 0, 0] == pytest.approx(0.0484127, abs=5e-8)
 
 
 def test_singular_sigma_rejected():
     p = _params(sigma=0.0)
     with pytest.raises(SingularModelError, match="sigma"):
-        run_filter(np.zeros((4, 1)), p)
+        run_filter_batch(np.zeros((1, 4, 1)), p)
 
 
 def test_innovation_shape_and_start():
     p = _params(n_steps=37)
-    path = simulate_path(p, seed=5)
-    hist = run_filter(path, p)
-    assert hist.d_nu.shape == (37, 1)
+    hist = run_filter_batch(simulate_batch(p, 5, 1).delta_R(), p)
+    assert hist.d_nu.shape == (1, 37, 1)
     nu = hist.nu
-    assert nu.shape == (38, 1)
-    assert nu[0, 0] == 0.0
-    assert np.allclose(np.diff(nu, axis=0), hist.d_nu)
+    assert nu.shape == (1, 38, 1)
+    assert nu[0, 0, 0] == 0.0
+    assert np.allclose(np.diff(nu, axis=1), hist.d_nu)
 
 
 def test_covariance_psd_along_the_path():
@@ -136,8 +131,7 @@ def test_covariance_psd_along_the_path():
                 alpha=np.diag([-0.5, -1.0]), varsigma=0.1,
                 F0=np.array([100.0, 2.0]), beta0=np.array([0.08, -0.04]),
                 n_steps=64)
-    path = simulate_path(p, seed=14)
-    hist = run_filter(path, p)
+    hist = run_filter_batch(simulate_batch(p, 14, 1).delta_R(), p)
     for P in hist.p_cov:
         eig = np.linalg.eigvalsh(P)
         assert eig.min() >= -1e-12
@@ -148,9 +142,9 @@ def test_frozen_drift_estimate_converges():
     gaps = []
     for n in (100, 1_000, 10_000):
         pn = p.with_updates(n_steps=n)
-        path = simulate_path(pn, seed=7)
-        hist = run_filter(path, pn, p_cov0=np.array([[0.05]]), beta_hat0=np.array([0.0]))
-        gaps.append(abs(hist.beta_hat[-1, 0] - 0.08))
+        delta_R = simulate_batch(pn, 7, 1).delta_R()
+        hist = run_filter_batch(delta_R, pn, p_cov0=np.array([[0.05]]), beta_hat0=np.array([0.0]))
+        gaps.append(abs(hist.beta_hat[0, -1, 0] - 0.08))
     assert gaps[2] < gaps[0]
 
 
@@ -161,22 +155,22 @@ def test_frozen_drift_matches_bayes_least_squares():
     precision-weighted blend of the prior and the observation average.
     """
     p = _params(varsigma=0.0, alpha=0.0, beta0=0.08, n_steps=500)
-    path = simulate_path(p, seed=19)
+    delta_R = simulate_batch(p, 19, 1).delta_R()
     p0, b0 = 0.05, 0.02
-    hist = run_filter(path, p, p_cov0=np.array([[p0]]), beta_hat0=np.array([b0]))
+    hist = run_filter_batch(delta_R, p, p_cov0=np.array([[p0]]), beta_hat0=np.array([b0]))
 
     dt = p.delta_t
     obs_var = p.sigma[0, 0] ** 2 * dt
-    dR = path.delta_R()[:, 0]
+    dR = delta_R[0, :, 0]
     precision = 1.0 / p0 + dR.size * dt * dt / obs_var
     mean = (b0 / p0 + dt * dR.sum() / obs_var) / precision
-    assert hist.beta_hat[-1, 0] == pytest.approx(mean, rel=1e-10)
+    assert hist.beta_hat[0, -1, 0] == pytest.approx(mean, rel=1e-10)
     assert hist.p_cov[-1, 0, 0] == pytest.approx(1.0 / precision, rel=1e-10)
 
 
 def test_batch_filter_matches_single():
     # beta_hat and d_nu are stored step-major; the public (n_paths, ..., d)
-    # views must hold what filtering one path alone gives: bit for bit at
+    # views must hold what filtering a batch of one gives: bit for bit at
     # d = 1, to rounding at d >= 2, where OpenBLAS picks its small-matmul
     # kernel by row count and operand layout (the parent layout included)
     two_asset = MarketParams(
@@ -195,19 +189,11 @@ def test_batch_filter_matches_single():
         # gain schedule is observation independent: shared covariance
         assert batch.p_cov.shape == (n + 1, d, d)
         for i in (0, 2, 4):
-            single = run_filter(delta_R[i], p)
-            assert same(batch.beta_hat[i], single.beta_hat)
-            assert same(batch.d_nu[i], single.d_nu)
-            assert same(batch.nu[i], single.nu)
+            single = run_filter_batch(delta_R[i : i + 1], p)
+            assert same(batch.beta_hat[i : i + 1], single.beta_hat)
+            assert same(batch.d_nu[i : i + 1], single.d_nu)
+            assert same(batch.nu[i : i + 1], single.nu)
             assert np.array_equal(batch.p_cov, single.p_cov)
-
-
-def test_filter_uses_only_returns():
-    p = _params(n_steps=40)
-    path = simulate_path(p, seed=23)
-    from_path = run_filter(path, p)
-    from_returns = run_filter(path.delta_R(), p)
-    assert np.array_equal(from_path.beta_hat, from_returns.beta_hat)
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -218,9 +204,9 @@ def test_diagnostics_on_injected_brownian_innovations():
     p = _params(varsigma=0.0, alpha=0.0, beta0=0.0, n_steps=20_000)
     rng = np.random.default_rng(3)
     dW = np.sqrt(p.delta_t) * rng.standard_normal((p.n_steps, 1))
-    delta_R = p.sigma[0, 0] * dW  # beta = 0: returns are pure noise
-    path = simulate_path(p, seed=10)
-    hist = run_filter(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.zeros(1))
+    delta_R = p.sigma[0, 0] * dW[None]  # beta = 0: returns are pure noise
+    path = simulate_batch(p, 10, 1)
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.zeros(1))
     report = neutrality_diagnostics(hist, path, p)
     rows = {(r[0], r[1]): (r[2], r[3]) for r in report.rows}
     mean, se = rows[("innovation_mean", "1")]
@@ -231,8 +217,8 @@ def test_diagnostics_on_injected_brownian_innovations():
 
 def test_diagnostics_csv(tmp_path):
     p = _params(n_steps=256)
-    path = simulate_path(p, seed=2)
-    hist = run_filter(path, p)
+    path = simulate_batch(p, 2, 1)
+    hist = run_filter_batch(path.delta_R(), p)
     report = neutrality_diagnostics(hist, path, p)
     out = tmp_path / "diag.csv"
     report.to_csv(out)
@@ -242,8 +228,8 @@ def test_diagnostics_csv(tmp_path):
 
 def test_diagnostics_reject_short_paths():
     p = _params(n_steps=10)
-    path = simulate_path(p, seed=2)
-    hist = run_filter(path, p)
+    path = simulate_batch(p, 2, 1)
+    hist = run_filter_batch(path.delta_R(), p)
     with pytest.raises(Exception):
         neutrality_diagnostics(hist, path, p)
 
@@ -252,8 +238,8 @@ def test_diagnostics_reject_short_paths():
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.3))
 def test_estimate_is_deterministic_in_returns(seed, varsigma):
     p = _params(n_steps=16, varsigma=varsigma)
-    path = simulate_path(p, seed=seed)
-    a = run_filter(path, p)
-    b = run_filter(path.delta_R().copy(), p)
+    delta_R = simulate_batch(p, seed, 1).delta_R()
+    a = run_filter_batch(delta_R, p)
+    b = run_filter_batch(delta_R.copy(), p)
     assert np.array_equal(a.beta_hat, b.beta_hat)
     assert np.array_equal(a.d_nu, b.d_nu)

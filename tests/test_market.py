@@ -7,14 +7,14 @@ from hypothesis.extra import numpy as hnp
 from futopt import (
     MarketParams,
     ModelError,
-    build_path,
+    PathBatch,
+    build_batch,
     correlated_increments,
     prices_from_returns,
     read_path_csv,
     returns_from_prices,
     simulate_batch,
     simulate_drift,
-    simulate_path,
 )
 
 
@@ -88,21 +88,21 @@ def test_contracting_drift_shrinks():
 
 def test_no_noise_no_drift_constant_price():
     p = _params(sigma=0.0, varsigma=0.0, beta0=0.0, n_steps=20)
-    path = simulate_path(p, seed=0)
+    path = simulate_batch(p, 0, 1)
     assert np.all(path.F == 100.0)
     assert np.all(path.R == 0.0)
 
 
 def test_one_step_price_hand_value():
     p = _params(sigma=0.0, varsigma=0.0, beta0=0.08, n_steps=1)
-    path = simulate_path(p, seed=0)
-    assert path.F[1, 0] == pytest.approx(100.0 * (1 + 0.08 / 252), rel=1e-15)
+    path = simulate_batch(p, 0, 1)
+    assert path.F[0, 1, 0] == pytest.approx(100.0 * (1 + 0.08 / 252), rel=1e-15)
 
 
 def test_same_seed_bit_identical():
     p = _params(varsigma=0.1, alpha=-0.5, n_steps=64)
-    a = simulate_path(p, seed=123)
-    b = simulate_path(p, seed=123)
+    a = simulate_batch(p, 123, 1)
+    b = simulate_batch(p, 123, 1)
     assert np.array_equal(a.F, b.F)
     assert np.array_equal(a.R, b.R)
     assert np.array_equal(a.beta, b.beta)
@@ -110,11 +110,15 @@ def test_same_seed_bit_identical():
 
 
 def test_batch_path_view_matches_singleton():
+    # a batch of one built from path 1's increments is path 1 of the batch
     p = _params(varsigma=0.1, n_steps=32)
     batch = simulate_batch(p, 5, 3)
     assert batch.F.shape == (3, 33, 1)
-    one = batch.path(1)
-    assert np.array_equal(one.F, batch.F[1])
+    assert (batch.n_paths, batch.n_steps, batch.d) == (3, 32, 1)
+    one = build_batch(p, batch.dW[1:2], batch.dW2[1:2])
+    assert one.n_paths == 1
+    for name in ("F", "R", "beta", "guard_events"):
+        assert np.array_equal(getattr(one, name), getattr(batch, name)[1:2])
 
 
 def test_same_seed_sequence_object_reused_gives_same_batch():
@@ -128,13 +132,14 @@ def test_same_seed_sequence_object_reused_gives_same_batch():
 
 def test_delta_R_is_delta_F_over_F():
     p = _params(varsigma=0.1, alpha=-0.5, n_steps=128)
-    path = simulate_path(p, seed=9)
-    assert np.allclose(path.delta_R(), path.delta_F() / path.F[:-1], rtol=1e-12)
+    path = simulate_batch(p, 9, 1)
+    delta_F = np.diff(path.F, axis=1)
+    assert np.allclose(path.delta_R(), delta_F / path.F[:, :-1], rtol=1e-12)
 
 
 def test_price_return_round_trip():
     p = _params(n_steps=128)
-    path = simulate_path(p, seed=11)
+    path = simulate_batch(p, 11, 1)
     R = returns_from_prices(path.F)
     assert np.allclose(R, path.R, rtol=1e-12, atol=1e-12)
     F = prices_from_returns(p.F0, path.R)
@@ -144,10 +149,9 @@ def test_price_return_round_trip():
 def test_positivity_guard_floors_factor():
     # sigma large enough that the one-step factor goes negative for sure
     p = _params(sigma=50.0, n_steps=40, pos_floor=1e-8)
-    path = simulate_path(p, seed=3)
+    path = simulate_batch(p, 3, 1)
     assert np.all(path.F > 0)
-    assert path.guard_events > 0
-    assert path.guard_warning
+    assert path.guard_events[0] > 0
     # on guarded steps the stored return increment equals the floored factor
     # (1 + dR reconstructs it only up to one rounding of the subtraction)
     dR = path.delta_R()
@@ -156,15 +160,14 @@ def test_positivity_guard_floors_factor():
 
 def test_guard_absent_for_tame_parameters():
     p = _params(n_steps=252)
-    path = simulate_path(p, seed=4)
-    assert path.guard_events == 0
-    assert not path.guard_warning
+    path = simulate_batch(p, 4, 1)
+    assert path.guard_events[0] == 0
 
 
 def test_mean_return_residual_within_3_stderr():
     p = _params(n_steps=100_000, varsigma=0.0)
-    path = simulate_path(p, seed=5)
-    resid = path.delta_R()[:, 0] - p.beta0[0] * p.delta_t
+    path = simulate_batch(p, 5, 1)
+    resid = path.delta_R()[0, :, 0] - p.beta0[0] * p.delta_t
     se = resid.std(ddof=1) / np.sqrt(resid.size)
     assert abs(resid.mean()) <= 3.0 * se
 
@@ -173,31 +176,35 @@ def test_quadratic_variation_close_to_rho():
     rho = np.array([[1.0, 0.4], [0.4, 1.0]])
     p = _params(d=2, rho=rho, F0=np.array([100.0, 100.0]),
                 beta0=np.array([0.0, 0.0]), n_steps=100_000)
-    path = simulate_path(p, seed=6)
-    qv = path.dW.T @ path.dW / p.horizon
+    dW = simulate_batch(p, 6, 1).dW[0]
+    qv = dW.T @ dW / p.horizon
     n = p.n_steps
     se = np.sqrt(np.outer(np.diag(rho), np.diag(rho)) + rho**2) / np.sqrt(n)
     assert np.all(np.abs(qv - rho) <= 3.0 * se)
 
 
-def test_build_path_reproduces_simulation():
+def test_build_batch_reproduces_simulation():
     p = _params(varsigma=0.1, alpha=-0.5, n_steps=64)
-    path = simulate_path(p, seed=21)
-    rebuilt = build_path(p, path.dW, path.dW2)
+    path = simulate_batch(p, 21, 2)
+    rebuilt = build_batch(p, path.dW, path.dW2)
     assert np.array_equal(rebuilt.F, path.F)
     assert np.array_equal(rebuilt.beta, path.beta)
 
 
 def test_csv_round_trip(tmp_path):
     p = _params(varsigma=0.1, n_steps=16)
-    path = simulate_path(p, seed=8)
+    batch = simulate_batch(p, 8, 3)
     out = tmp_path / "p.csv"
-    path.to_csv(out)
+    batch.to_csv(out, 1)
     back = read_path_csv(out)
-    assert np.array_equal(back.t_grid, path.t_grid)
-    assert np.array_equal(back.F, path.F)
-    assert np.array_equal(back.R, path.R)
-    assert np.array_equal(back.beta, path.beta)
+    assert back.n_paths == 1
+    assert np.array_equal(back.t_grid, batch.t_grid)
+    assert np.array_equal(back.F, batch.F[1:2])
+    assert np.array_equal(back.R, batch.R[1:2])
+    assert np.array_equal(back.beta, batch.beta[1:2])
+    # a path without latent fields (ingested prices) leaves the beta cells empty
+    PathBatch(t_grid=back.t_grid, F=back.F, R=back.R).to_csv(out, 0)
+    assert read_path_csv(out).beta is None
 
 
 def test_simulate_batch_rejects_zero_paths():

@@ -9,7 +9,6 @@ from futopt import (
     ModelError,
     SingularModelError,
     StrategyObs,
-    approx_cost_term,
     contract_price,
     cost_term,
     log_optimal_weights,
@@ -153,23 +152,23 @@ def test_near_zero_position_with_trade_flagged():
     assert np.isnan(c[0])
 
 
-# -- approximate cost -------------------------------------------------------
+# -- cost anchored at a target position --------------------------------------
 
 def test_approx_cost_zero_when_at_target():
     p = _params()
-    c, _ = approx_cost_term(np.array([10.0]), np.array([10.0]), np.array([5000.0]), p)
+    c, _ = cost_term(np.array([10.0]), np.array([10.0]), np.array([5000.0]), p)
     assert c[0] == 0.0
 
 
 def test_approx_cost_hand_value():
     p = _params()
-    c, _ = approx_cost_term(np.array([12.0]), np.array([10.0]), np.array([5000.0]), p)
+    c, _ = cost_term(np.array([12.0]), np.array([10.0]), np.array([5000.0]), p)
     assert c[0] == pytest.approx(0.1050, abs=1e-12)
 
 
 def test_approx_cost_sign_of_target():
     p = _params()
-    c, _ = approx_cost_term(np.array([-12.0]), np.array([10.0]), np.array([5000.0]), p)
+    c, _ = cost_term(np.array([-12.0]), np.array([10.0]), np.array([5000.0]), p)
     assert c[0] < 0.0
 
 
@@ -268,7 +267,7 @@ def _per_step_solve_policy(obs, p, mode, literal_product):
     if mode == "zero_cost":
         return pi_zc
     P_star = obs.X[..., None] * p.k * pi_zc / obs.C
-    c_hat, flagged = approx_cost_term(P_star, obs.P_prev, obs.C, p)
+    c_hat, flagged = cost_term(P_star, obs.P_prev, obs.C, p)
     c_hat = np.where(flagged, 0.0, c_hat)
     upsilon = np.where(flagged, 0.0, payoff_transform(obs.beta_hat, c_hat, mode))
     return _solve_weights(upsilon, p, literal_product)

@@ -8,13 +8,13 @@ from futopt import (
     LogOptimalStrategy,
     MarketParams,
     ZeroStrategy,
+    build_batch,
     build_measure_state,
     discounted_series,
     realized_monetary_vol,
     relative_risk,
     run_backtest,
     simulate_batch,
-    simulate_path,
     step_wealth,
     step_wealth_cash,
     summary_dict,
@@ -123,7 +123,7 @@ def test_wealth_forms_agree_on_1000_random_steps():
 
 def test_zero_strategy_full_margin_preserves_wealth():
     p = _params(m=1.0, r=0.08, c_spread=0.5)
-    path = simulate_path(p, seed=0)
+    path = simulate_batch(p, 0, 1)
     ledger = run_backtest(path, ZeroStrategy(), p, x0=5000.0)
     assert np.all(ledger.X == 5000.0)
     assert ledger.events == []
@@ -133,17 +133,17 @@ def test_deterministic_path_matches_geometric_recursion():
     # sigma = 0, zero cost: X_{n+1} = X_n (1 + (1-m) r dt + pi beta0 dt)
     p = _params(sigma=0.0, varsigma=0.0, beta0=0.06, m=0.25, r=0.04,
                 c_spread=0.0, n_steps=300)
-    path = simulate_path(p, seed=0)
+    path = simulate_batch(p, 0, 1)
     pi = 0.8
     ledger = run_backtest(path, ConstantWeightStrategy([pi]), p, x0=1.0)
     g = 1.0 + (1.0 - 0.25) * 0.04 * p.delta_t + pi * 0.06 * p.delta_t
     oracle = g ** np.arange(301)
-    assert np.allclose(ledger.X, oracle, rtol=1e-12)
+    assert np.allclose(ledger.X[0], oracle, rtol=1e-12)
 
 
 def test_wealth_linearity_in_x0_is_exact():
     p = _params(varsigma=0.1, alpha=-0.5, c_spread=0.3, m=0.1, r=0.02)
-    path = simulate_path(p, seed=33)
+    path = simulate_batch(p, 33, 1)
     strat = LogOptimalStrategy(mode="soft_threshold")
     a = run_backtest(path, strat, p, x0=1e6)
     b = run_backtest(path, LogOptimalStrategy(mode="soft_threshold"), p, x0=2e6)
@@ -154,33 +154,33 @@ def test_wealth_linearity_in_x0_is_exact():
 
 def test_more_slippage_never_helps_on_fixed_path():
     base = _params(c_spread=0.0, varsigma=0.1, alpha=-0.5)
-    path = simulate_path(base, seed=7)
+    path = simulate_batch(base, 7, 1)
     terminals = []
     for c in (0.0, 0.2, 1.0):
         p = base.with_updates(c_spread=c)
         ledger = run_backtest(path, ConstantWeightStrategy([0.9]), p, x0=1e6)
-        terminals.append(ledger.terminal())
+        terminals.append(ledger.terminal()[0])
     assert terminals[0] >= terminals[1] >= terminals[2]
 
 
 def test_admissibility_violation_absorbs_at_zero():
     p = _params(n_steps=128)
-    path = simulate_path(p, seed=2)
+    path = simulate_batch(p, 2, 1)
     ledger = run_backtest(path, ConstantWeightStrategy([500.0]), p, x0=1.0)
     kinds = {kind for _, _, kind in ledger.events}
     assert "admissibility" in kinds
-    assert ledger.dead
-    death = int(np.argmax(ledger.X == 0.0))
-    assert np.all(ledger.X[death:] == 0.0)
+    assert ledger.dead[0]
+    death = int(np.argmax(ledger.X[0] == 0.0))
+    assert np.all(ledger.X[0, death:] == 0.0)
     # no positions after absorption
-    assert np.all(ledger.book.P[death:] == 0.0)
+    assert np.all(ledger.book.P[0, death:] == 0.0)
 
 
 def test_near_zero_position_routes_cash_cost():
     # a few dollars of wealth cannot buy one contract: the relative cost is
     # undefined there, the cash charge still applies
     p = _params(c_spread=0.5, n_steps=64)
-    path = simulate_path(p, seed=3)
+    path = simulate_batch(p, 3, 1)
     ledger = run_backtest(path, ConstantWeightStrategy([0.9]), p, x0=500.0)
     kinds = {kind for _, _, kind in ledger.events}
     assert "cash_cost_fallback:1" in kinds
@@ -190,7 +190,7 @@ def test_near_zero_position_routes_cash_cost():
 
 def test_cap_event_recorded():
     p = _params(n_steps=32)
-    path = simulate_path(p, seed=5)
+    path = simulate_batch(p, 5, 1)
     ledger = run_backtest(path, ConstantWeightStrategy([2.0]), p, x0=1e6,
                           cap=np.array([50.0]))
     kinds = {kind for _, _, kind in ledger.events}
@@ -207,7 +207,7 @@ def _same(a, b, exact):
 
 def test_batch_matches_single_paths():
     # Histories are stored step-major; the public (n_paths, N, d) views must
-    # hold what a one-path run of the same path records.  At d = 1 that is
+    # hold what a run on a batch of one holding that path records.  At d = 1 that is
     # bit for bit.  At d >= 2 OpenBLAS picks its small-matmul kernel by row
     # count and operand layout, so a one-row product can differ from the
     # same row of a batch product in the last bit, at the parent layout too.
@@ -229,44 +229,45 @@ def test_batch_matches_single_paths():
             assert getattr(b_ledger.book, name).shape == (5, n, d)
         assert np.count_nonzero(b_ledger.book.cash_cost) > 5 * n // 4   # it trades, at a cost
         for i in (0, 2, 4):
-            s_ledger = run_backtest(batch.path(i), LogOptimalStrategy(), p, x0=1e6)
-            assert _same(b_ledger.X[i], s_ledger.X, d == 1)
+            one = build_batch(p, batch.dW[i : i + 1], batch.dW2[i : i + 1])
+            s_ledger = run_backtest(one, LogOptimalStrategy(), p, x0=1e6)
+            rows = slice(i, i + 1)
+            assert _same(b_ledger.X[rows], s_ledger.X, d == 1)
             for name in names:
-                assert _same(getattr(b_ledger.book, name)[i], getattr(s_ledger.book, name), d == 1)
-            assert np.array_equal(b_ledger.dead[i], s_ledger.dead)
-            assert _same(b_ledger.beta_hat[i], s_ledger.beta_hat, d == 1)
+                assert _same(getattr(b_ledger.book, name)[rows], getattr(s_ledger.book, name), d == 1)
+            assert np.array_equal(b_ledger.dead[rows], s_ledger.dead)
+            assert _same(b_ledger.beta_hat[rows], s_ledger.beta_hat, d == 1)
 
 
 def test_engine_cross_checks_relative_form():
     # reconstruct the ledger with the relative-cost recursion from recorded
     # weights and costs; both forms must agree to 1e-10
     p = _params(varsigma=0.1, alpha=-0.5, c_spread=0.3, m=0.1, r=0.02)
-    path = simulate_path(p, seed=17)
+    path = simulate_batch(p, 17, 1)
     ledger = run_backtest(path, LogOptimalStrategy(), p, x0=1e6)
-    dR = path.delta_R()
+    dR = path.delta_R()[0]
     X = 1e6
     for i in range(p.n_steps):
-        pi_eff = p.k * ledger.book.pi[i]
-        cost = np.nan_to_num(ledger.book.c_tilde[i])
+        pi_eff = p.k * ledger.book.pi[0, i]
+        cost = np.nan_to_num(ledger.book.c_tilde[0, i])
         X = X * (1.0 + (1.0 - p.m) * p.r * p.delta_t + pi_eff @ dR[i]
                  - pi_eff @ cost * p.delta_t)
-        assert abs(X - ledger.X[i + 1]) <= 1e-10 * max(X, 1.0)
+        assert abs(X - ledger.X[0, i + 1]) <= 1e-10 * max(X, 1.0)
 
 
 def test_discounted_series_trivial_when_flat():
     p = _params(r=0.0)
-    path = simulate_path(p, seed=1)
+    path = simulate_batch(p, 1, 1)
     ledger = run_backtest(path, ConstantWeightStrategy([0.5]), p, x0=1e6)
-    ms = build_measure_state(np.zeros((1, 252, 1)), path.dW[None], p)
-    from futopt.experiments import _slice_measure
-    gamma_X, H_X = discounted_series(ledger, _slice_measure(ms, 0))
+    ms = build_measure_state(np.zeros((1, 252, 1)), path.dW, p)
+    gamma_X, H_X = discounted_series(ledger, ms)
     assert np.array_equal(gamma_X, ledger.X)
     assert np.array_equal(H_X, ledger.X)
 
 
 def test_realized_vol_tracks_weight_scale():
     p = _params(n_steps=1000, varsigma=0.0)
-    path = simulate_path(p, seed=9)
+    path = simulate_batch(p, 9, 1)
     ledger = run_backtest(path, ConstantWeightStrategy([1.0]), p, x0=1e6)
     vol = realized_monetary_vol(ledger, p, window=20)
     assert 0.1 < vol < 0.3  # pi sigma with pi=1, sigma=0.2
@@ -274,20 +275,18 @@ def test_realized_vol_tracks_weight_scale():
 
 def test_wealth_csv_and_summary(tmp_path):
     p = _params(varsigma=0.1, c_spread=0.2, m=0.2, r=0.05, n_steps=32)
-    path = simulate_path(p, seed=21)
+    path = simulate_batch(p, 21, 1)
     ledger = run_backtest(path, LogOptimalStrategy(), p, x0=1e6)
-    theta = relative_risk(path.beta[:32], p)[None]
-    ms = build_measure_state(theta, path.dW[None], p)
-    from futopt.experiments import _slice_measure
-    ms0 = _slice_measure(ms, 0)
+    theta = relative_risk(path.beta[:, :32], p)
+    ms = build_measure_state(theta, path.dW, p)
 
     out = tmp_path / "wealth.csv"
-    write_wealth_csv(out, ledger, ms0)
+    write_wealth_csv(out, ledger, ms)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("time,wealth,discounted_wealth,H_wealth")
     assert len(lines) == 34  # header + N + 1 rows
 
-    summary = summary_dict(ledger, p, 1e6, ms0)
+    summary = summary_dict(ledger, p, 1e6, ms)
     for key in ("terminal_mean", "admissibility_violations", "budget_z_score",
                 "realized_monetary_vol", "dead_paths"):
         assert key in summary
@@ -297,6 +296,6 @@ def test_wealth_csv_and_summary(tmp_path):
 @given(st.floats(0.1, 1e8), st.integers(0, 1000))
 def test_zero_exposure_full_margin_identity(x0, seed):
     p = _params(m=1.0, r=0.06, n_steps=8)
-    path = simulate_path(p, seed=seed)
+    path = simulate_batch(p, seed, 1)
     ledger = run_backtest(path, ZeroStrategy(), p, x0=x0)
     assert np.all(ledger.X == x0)
