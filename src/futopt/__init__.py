@@ -13,9 +13,7 @@ from .experiments import ExperimentResult, ingest_prices, run_experiment
 from .filtering import (
     DiagnosticsReport,
     FilterHistory,
-    FilterState,
     default_p_cov0,
-    filter_step,
     neutrality_diagnostics,
     run_filter_batch,
 )
@@ -80,7 +78,6 @@ from .utility import (
 from .montecarlo import RunningMoments, chunk_layout, resolve_workers, run_chunked
 from .wealth import (
     WealthLedger,
-    discounted_series,
     realized_monetary_vol,
     run_backtest,
     step_wealth,

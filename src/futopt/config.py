@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError
 from .params import MarketParams
 from .strategies import (
     ConstantWeightStrategy,
@@ -258,9 +258,7 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         mkt.setdefault(key, value)
     try:
         market = MarketParams(**mkt)
-    except TypeError as exc:
-        raise ConfigError(f"market section: {exc}") from None
-    except ModelError as exc:
+    except (TypeError, ValueError) as exc:   # ModelError is a ValueError
         raise ConfigError(f"market section: {exc}") from None
 
     mc = _build_dataclass(McConfig, _section(tree, "mc"), "mc")

@@ -154,12 +154,13 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
 
 
 def _strategy_measure(batch, ledger, params, theta_max):
-    """State price density consistent with the realized cost process."""
-    n = batch.n_steps
+    """Path 0's state price density, consistent with its realized cost process.
+
+    Built as a batch of one from the ledger's path-0 record.
+    """
     c_tilde = np.nan_to_num(ledger.book.c_tilde, nan=0.0)
-    beta_eff = batch.beta[:, :n, :] - c_tilde
-    theta = relative_risk(beta_eff, params)
-    return build_measure_state(theta, batch.dW, params, theta_max)
+    theta = relative_risk(batch.beta[:1, : batch.n_steps, :] - c_tilde, params)
+    return build_measure_state(theta, batch.dW[:1], params, theta_max)
 
 
 def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -177,17 +178,16 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         batch = simulate_batch(run_params, seed_seq, n_in_chunk)
         ledger = run_backtest(
             batch, build_strategy(cfg), run_params, s.x0,
-            cap=cap, integer_contracts=s.integer_contracts, p_cov0=p_cov0,
+            cap=cap, integer_contracts=s.integer_contracts, p_cov0=p_cov0, theta_max=s.theta_max,
         )
-        measure = _strategy_measure(batch, ledger, run_params, s.theta_max)
         if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked
             # Scalars and path-0 reports come from chunk 0; no array outlives it.
-            summary.update(summary_dict(ledger, run_params, s.x0, measure, s.h_window))
-            write_wealth_csv(ledger_csv, ledger, measure)
+            summary.update(summary_dict(ledger, run_params, s.x0, ledger.H_T, s.h_window))
+            write_wealth_csv(ledger_csv, ledger, _strategy_measure(batch, ledger, run_params, s.theta_max))
             write_position_ledger(pos_csv, ledger.book, batch.F, ledger.t_grid)
         return {
-            "terminal_wealth": ledger.terminal(),
-            "balance_HX": measure.H[:, -1] * ledger.terminal(),
+            "terminal_wealth": ledger.X_T,
+            "balance_HX": ledger.H_T * ledger.X_T,
             "dead": ledger.dead.astype(float),
         }
 

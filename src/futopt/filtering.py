@@ -28,10 +28,8 @@ from .market import PathBatch
 from .params import MarketParams
 
 __all__ = [
-    "FilterState",
     "FilterHistory",
     "default_p_cov0",
-    "filter_step",
     "run_filter_batch",
     "neutrality_diagnostics",
     "DiagnosticsReport",
@@ -42,21 +40,6 @@ def default_p_cov0(params: MarketParams) -> np.ndarray:
     """Weakly informative prior covariance varsigma varsigma* max(dt, 0.01)."""
     scale = max(params.delta_t, 0.01)
     return params.varsigma @ params.varsigma.T * scale
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Filter state at one grid time.
-
-    beta_hat is the drift estimate given returns observed so far, p_cov its
-    error covariance, and d_nu the innovation increments accumulated to date
-    (one row per processed return increment).
-    """
-
-    beta_hat: np.ndarray
-    p_cov: np.ndarray
-    d_nu: np.ndarray
-    step: int = 0
 
 
 class _FilterMats:
@@ -96,25 +79,6 @@ def _kalman_step(beta_hat, p_cov, delta_R, mats, step):
     p_next = mats.A @ p_post @ mats.A.T + mats.Q
     p_next = 0.5 * (p_next + p_next.T)
     return beta_next, p_next, d_nu
-
-
-def filter_step(state: FilterState, delta_R: np.ndarray, params: MarketParams) -> FilterState:
-    """Advance the filter by one observed return increment.
-
-    The returned state estimates the drift at the next grid time; the
-    appended innovation uses the pre-update estimate, so its estimate
-    argument never depends on the increment being processed.
-    """
-    mats = _FilterMats(params)
-    beta_next, p_next, d_nu = _kalman_step(
-        np.asarray(state.beta_hat, dtype=float),
-        np.asarray(state.p_cov, dtype=float),
-        np.asarray(delta_R, dtype=float),
-        mats,
-        state.step,
-    )
-    stacked = np.vstack([state.d_nu, d_nu[None]]) if state.d_nu.size else d_nu[None]
-    return FilterState(beta_hat=beta_next, p_cov=p_next, d_nu=stacked, step=state.step + 1)
 
 
 @dataclass

@@ -26,6 +26,7 @@ __all__ = [
     "relative_risk",
     "cap_relative_risk",
     "exponential_martingale",
+    "log_martingale_step",
     "martingale_recursion",
     "change_measure",
     "discount_and_density",
@@ -74,23 +75,30 @@ def _quad_form(theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", theta, rho, theta)
 
 
+def log_martingale_step(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Increment of log Z over one step, -theta* dW - 1/2 theta* rho theta dt, per row."""
+    theta = np.asarray(theta, dtype=float)
+    a = np.einsum("...i,...i->...", theta, np.asarray(dW, dtype=float))
+    q = _quad_form(theta, params.rho) * params.delta_t
+    return -a - 0.5 * q
+
+
 def exponential_martingale(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:
     """Closed-form Z along the path; Z_0 = 1 and Z stays positive.
 
     theta and dW have shape (..., N, d); the result has shape (..., N + 1).
-    Raises if the exponent overflows to a non-finite value.
+    Raises if the exponent overflows to a non-finite value, naming the step
+    (and the path when there is a path axis).
     """
-    theta = np.asarray(theta, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    a = np.einsum("...i,...i->...", theta, dW)
-    q = _quad_form(theta, params.rho) * params.delta_t
-    log_z = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    np.cumsum(-a - 0.5 * q, axis=-1, out=log_z[..., 1:])
+    incr = log_martingale_step(theta, dW, params)
+    log_z = np.zeros(incr.shape[:-1] + (incr.shape[-1] + 1,))
+    np.cumsum(incr, axis=-1, out=log_z[..., 1:])
     with np.errstate(over="ignore"):
         Z = np.exp(log_z)
     if not np.all(np.isfinite(Z)):
-        bad = np.argwhere(~np.isfinite(Z))
-        raise ModelError(f"exponential martingale overflowed at step {int(bad[0][-1])}")
+        *path, step = np.argwhere(~np.isfinite(Z))[0]
+        where = f" on path {int(path[0])}" if path else ""
+        raise ModelError(f"exponential martingale overflowed at step {int(step)}{where}")
     return Z
 
 

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "RunningMoments",
     "run_chunked",
+    "chunk_layout",
     "resolve_workers",
     "DEFAULT_CHUNK",
     "WORKERS_ENV_VAR",

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ModelError
 from .filtering import run_filter_batch
 from .market import PathBatch
-from .measure import MeasureState
+from .measure import (MeasureState, cap_relative_risk, discount_and_density, log_martingale_step,
+                      relative_risk)
 from .params import MarketParams
 from .strategies import Strategy, StrategyObs
 from .trading import PositionBook, contract_price, cost_term, position_from_weights
@@ -38,7 +39,7 @@ __all__ = [
     "step_wealth",
     "step_wealth_cash",
     "run_backtest",
-    "discounted_series",
+    "realized_monetary_vol",
     "write_wealth_csv",
     "summary_dict",
 ]
@@ -88,21 +89,27 @@ def step_wealth_cash(
 
 @dataclass
 class WealthLedger:
-    """Backtest output: wealth paths plus the per-step trading record.
+    """Backtest output: path 0's per-step record plus every path's terminal state.
 
-    Arrays carry a leading path axis.  events is a list of (path, step, kind) tuples for guard, clip, zero-cost
-    fallback and admissibility incidents.
+    X and the book hold path 0 only, as a batch of one, so their size does
+    not grow with the number of paths.  X_T, dead, beta_hat and events cover
+    every path; events is a list of (path, step, kind) tuples for clip,
+    zero-cost fallback and admissibility incidents.  H_T and n_capped are
+    set when run_backtest is asked for the state price density.
     """
 
     t_grid: np.ndarray
-    X: np.ndarray                     # (n_paths, N + 1)
-    book: PositionBook
+    X: np.ndarray                     # (1, N + 1), path 0
+    book: PositionBook                # (1, N, d) arrays, path 0
+    X_T: np.ndarray                   # (n_paths,)
+    dead: np.ndarray                  # (n_paths,) bool, absorbed at zero
     events: list[tuple[int, int, str]] = field(default_factory=list)
-    dead: np.ndarray | None = None    # (n_paths,) bool, absorbed at zero
-    beta_hat: np.ndarray | None = None
+    beta_hat: np.ndarray | None = None   # (n_paths, N + 1, d)
+    H_T: np.ndarray | None = None     # (n_paths,), gamma_N Z_N
+    n_capped: int = 0                 # theta rows scaled back onto the cap
 
     def terminal(self) -> np.ndarray:
-        return self.X[:, -1]
+        return self.X_T
 
 
 def run_backtest(
@@ -114,6 +121,7 @@ def run_backtest(
     integer_contracts: bool = False,
     p_cov0: np.ndarray | None = None,
     beta_hat0: np.ndarray | None = None,
+    theta_max: float | None = None,
 ) -> WealthLedger:
     """Run a policy over simulated or ingested paths.
 
@@ -124,11 +132,16 @@ def run_backtest(
     primitive recursion; the relative cost per step is recorded in the
     ledger for diagnostics and cross-checks.
 
-    Histories are stored step-major, so each step reads and writes one
-    contiguous row, and the ledger holds (n_paths, N, d) transposed views of
-    that storage.  A per-path slice is therefore strided and keeps the whole
-    batch alive; copy it (for instance with copy.deepcopy) to keep it past
-    the run.
+    The ledger keeps the full per-step record (X and the position book) for
+    path 0 only, and for every path the terminal wealth X_T, the absorption
+    flags, the filter estimates and the event list.
+
+    Given theta_max (np.inf for no cap) and a batch with latent beta and
+    dW, the loop also builds the terminal state price density H_T = gamma_N
+    Z_N for every path, with theta_n the relative risk of beta_n net of the
+    realized cost c_tilde_n, capped at theta_max; the ledger carries H_T and
+    the number of capped rows.  These are the values build_measure_state
+    gives on the whole batch, without its (n_paths, N) histories.
     """
     if x0 < 0:
         raise ModelError("initial wealth must be nonnegative")
@@ -150,16 +163,20 @@ def run_backtest(
     dead = X <= 0
     P_prev = np.zeros((n_paths, d))
 
-    X_hist = np.empty((n + 1, n_paths))
-    X_hist[0] = X
-    pi_hist = np.zeros((n, n_paths, d))
-    P_hist = np.zeros((n, n_paths, d))
-    trade_hist = np.zeros((n, n_paths, d))
-    ct_hist = np.zeros((n, n_paths, d))
-    cash_hist = np.zeros((n, n_paths, d))
-    clip_hist = np.zeros((n, n_paths, d), dtype=bool)
-    C_hist = np.zeros((n, n_paths, d))
+    # Path 0's record, one row per step.
+    X_hist = np.empty(n + 1)
+    X_hist[0] = X[0]
+    pi_hist = np.zeros((n, d))
+    P_hist = np.zeros((n, d))
+    trade_hist = np.zeros((n, d))
+    ct_hist = np.zeros((n, d))
+    cash_hist = np.zeros((n, d))
+    clip_hist = np.zeros((n, d), dtype=bool)
+    C_hist = np.zeros((n, d))
     events: list[tuple[int, int, str]] = []
+
+    density = theta_max is not None and paths.beta is not None and paths.dW is not None
+    log_z, Z, n_capped = np.zeros(n_paths), np.ones(n_paths), 0
 
     strategy.reset(n_paths, params)
 
@@ -198,41 +215,47 @@ def run_backtest(
             for p_idx, a_idx in zip(*np.nonzero(flagged)):
                 events.append((int(p_idx), i, f"cash_cost_fallback:{a_idx + 1}"))
 
-        X_hist[i + 1] = X_next
-        pi_hist[i] = pi
-        P_hist[i] = P
-        trade_hist[i] = trade
-        ct_hist[i] = c_tilde
-        cash_hist[i] = 0.5 * params.c_spread * params.f * np.abs(trade)
-        clip_hist[i] = clipped
-        C_hist[i] = C_i
+        if density:
+            theta = relative_risk(paths.beta[:, i, :] - np.nan_to_num(c_tilde, nan=0.0), params)
+            theta, capped = cap_relative_risk(theta, theta_max)
+            n_capped += capped
+            log_z += log_martingale_step(theta, paths.dW[:, i, :], params)
+            with np.errstate(over="ignore"):
+                Z = np.exp(log_z)
+            if not np.all(np.isfinite(Z)):
+                bad = int(np.argmax(~np.isfinite(Z)))
+                raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
+
+        X_hist[i + 1] = X_next[0]
+        pi_hist[i] = pi[0]
+        P_hist[i] = P[0]
+        trade_hist[i] = trade[0]
+        ct_hist[i] = c_tilde[0]
+        cash_hist[i] = 0.5 * params.c_spread * params.f * np.abs(trade[0])
+        clip_hist[i] = clipped[0]
+        C_hist[i] = C_i[0]
 
         dead = dead | violated | (X_next <= 0)
         X = X_next
         P_prev = np.where(dead[:, None], 0.0, P)
 
-    def public(steps):
-        """(n_paths, N, ...) view of step-major storage."""
-        return np.swapaxes(steps, 0, 1)
-
     book = PositionBook(
-        C=public(C_hist), pi=public(pi_hist), P=public(P_hist), trade=public(trade_hist),
-        c_tilde=public(ct_hist), cash_cost=public(cash_hist), clipped=public(clip_hist),
+        C=C_hist[None], pi=pi_hist[None], P=P_hist[None], trade=trade_hist[None],
+        c_tilde=ct_hist[None], cash_cost=cash_hist[None], clipped=clip_hist[None],
         cap=cap,
     )
+    H_T = discount_and_density(params, np.ones(n + 1))[0][-1] * Z if density else None
     return WealthLedger(
         t_grid=t_grid,
-        X=public(X_hist),
+        X=X_hist[None],
         book=book,
-        events=events,
+        X_T=X,
         dead=dead,
+        events=events,
         beta_hat=beta_hat_all,
+        H_T=H_T,
+        n_capped=n_capped,
     )
-
-
-def discounted_series(ledger: WealthLedger, measure: MeasureState) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted wealth gamma X and density-weighted wealth H X."""
-    return measure.gamma * ledger.X, measure.H * ledger.X
 
 
 def realized_monetary_vol(ledger: WealthLedger, params: MarketParams, window: int = 20) -> float:
@@ -293,10 +316,14 @@ def summary_dict(
     ledger: WealthLedger,
     params: MarketParams,
     x0: float,
-    measure: MeasureState | None = None,
+    H_T: np.ndarray | None = None,
     h_window: int = 20,
 ) -> dict:
-    """Aggregate statistics for the summary JSON artifact."""
+    """Aggregate statistics for the summary JSON artifact.
+
+    Terminal statistics and event counts cover every path of the ledger; the
+    budget fields need the terminal state price density H_T of those paths.
+    """
     X_T = ledger.terminal()
     n_paths = X_T.shape[0]
     out = {
@@ -309,11 +336,11 @@ def summary_dict(
         "admissibility_violations": sum(1 for _, _, kind in ledger.events if kind == "admissibility"),
         "clip_events": sum(1 for _, _, kind in ledger.events if kind.startswith("clip")),
         "cash_cost_fallbacks": sum(1 for _, _, kind in ledger.events if kind.startswith("cash_cost_fallback")),
-        "dead_paths": int(np.count_nonzero(ledger.dead)) if ledger.dead is not None else 0,
+        "dead_paths": int(np.count_nonzero(ledger.dead)),
         "realized_monetary_vol": realized_monetary_vol(ledger, params, h_window),
     }
-    if measure is not None:
-        HX_T = measure.H[:, -1] * X_T
+    if H_T is not None:
+        HX_T = H_T * X_T
         mean = float(HX_T.mean())
         se = float(HX_T.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
         out["budget_mean_HX"] = mean

@@ -1,7 +1,12 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futopt import (
     ConfigError,
@@ -74,6 +79,45 @@ def test_policy_and_mode_validated():
         config_from_dict(_tree(strategy={"policy": "martingale_doubling"}))
     with pytest.raises(ConfigError, match="mode"):
         config_from_dict(_tree(strategy={"mode": "yolo"}))
+
+
+SHIPPED = {
+    path.name: yaml.safe_load(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+}
+
+
+def _keys(tree, prefix=()):
+    """Every key path of a config tree: sections, fields, nested fields."""
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _keys(value, prefix + (key,))
+
+
+# Integers stay small: market.d sizes d x d matrices.
+_SCALARS = st.one_of(
+    st.text(max_size=8), st.booleans(), st.integers(-100, 100), st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, -1e300]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(name, key) for name, tree in SHIPPED.items() for key in _keys(tree)]),
+    st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.lists(st.lists(_SCALARS, max_size=2), max_size=2)),
+)
+def test_mutated_shipped_config_succeeds_or_raises_config_error(field, value):
+    name, key = field
+    tree = copy.deepcopy(SHIPPED[name])
+    node = tree
+    for part in key[:-1]:
+        node = node[part]
+    node[key[-1]] = value
+    try:
+        config_from_dict(tree)
+    except ConfigError:
+        pass
 
 
 def test_build_strategy_dispatch():

@@ -195,8 +195,7 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     s, p = cfg.strategy, cfg.market
     seed_seq = np.random.SeedSequence(TWO_CHUNKS["seed"]).spawn(1)[0]
     batch = simulate_batch(p, seed_seq, min(DEFAULT_CHUNK, TWO_CHUNKS["n_paths"]))
-    ledger = run_backtest(batch, build_strategy(cfg), p, s.x0)
-    measure = _strategy_measure(batch, ledger, p, s.theta_max)
+    ledger = run_backtest(batch, build_strategy(cfg), p, s.x0, theta_max=s.theta_max)
     # path 0 alone, as a batch of one from its own increments
     one = build_batch(p, batch.dW[:1], batch.dW2[:1])
     one_ledger = run_backtest(one, build_strategy(cfg), p, s.x0)
@@ -208,7 +207,7 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
         assert _read_csv(tmp_path / "run" / name) == _read_csv(oracle / name)
 
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    expected = summary_dict(ledger, p, s.x0, measure, s.h_window)
+    expected = summary_dict(ledger, p, s.x0, ledger.H_T, s.h_window)
     for key in ("x0", "terminal_std", "terminal_min", "terminal_max",
                 "admissibility_violations", "clip_events", "cash_cost_fallbacks",
                 "dead_paths", "realized_monetary_vol"):

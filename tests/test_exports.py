@@ -23,5 +23,6 @@ def test_every_all_name_exists(name):
 
 
 def test_package_exports_no_deleted_name():
-    deleted = ("PathState", "simulate_path", "build_path", "run_filter", "approx_cost_term")
+    deleted = ("PathState", "simulate_path", "build_path", "run_filter", "approx_cost_term",
+               "filter_step", "FilterState", "discounted_series")
     assert [n for n in deleted if hasattr(futopt, n)] == []

@@ -122,6 +122,9 @@ def test_overflow_reported_with_step():
     dW = np.full((4, 1), -800.0)
     with pytest.raises(ModelError, match="step"):
         exponential_martingale(theta, dW, p)
+    # with a path axis the message names the path too
+    with pytest.raises(ModelError, match="step 1 on path 1"):
+        exponential_martingale(np.stack([0.0 * theta, theta]), np.stack([dW, dW]), p)
 
 
 # -- changed measure --------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from futopt import (
     ConstantWeightStrategy,
     LogOptimalStrategy,
     MarketParams,
+    ModelError,
     ZeroStrategy,
     build_batch,
     build_measure_state,
-    discounted_series,
     realized_monetary_vol,
     relative_risk,
     run_backtest,
@@ -205,38 +207,109 @@ def _same(a, b, exact):
     return np.allclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
+TWO_ASSET = MarketParams(
+    d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
+    rho=[[1.0, 0.3], [0.3, 1.0]], alpha=-0.5, varsigma=0.1, f=[50.0, 1000.0],
+    c_spread=[0.001, 0.0002], m=0.1, r=0.02, k=1.0, F0=[100.0, 2.0], beta0=[0.08, -0.04],
+)
+
+
+def _one_asset_costly():
+    return _params(varsigma=0.1, alpha=-0.5, c_spread=0.001, m=0.1, r=0.02, n_steps=40)
+
+
 def test_batch_matches_single_paths():
-    # Histories are stored step-major; the public (n_paths, N, d) views must
-    # hold what a run on a batch of one holding that path records.  At d = 1 that is
-    # bit for bit.  At d >= 2 OpenBLAS picks its small-matmul kernel by row
-    # count and operand layout, so a one-row product can differ from the
-    # same row of a batch product in the last bit, at the parent layout too.
+    # The ledger holds path 0's full record and every path's terminal state;
+    # both must be what a run on a batch of one holding that path records.
+    # Path i's full record is reached by rolling it into row 0.  At d = 1
+    # that is bit for bit.  At d >= 2 OpenBLAS picks its small-matmul kernel
+    # by row count and operand layout, so a one-row product can differ from
+    # the same row of a batch product in the last bit.
     names = ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped")
-    two_asset = MarketParams(
-        d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
-        rho=[[1.0, 0.3], [0.3, 1.0]], alpha=-0.5, varsigma=0.1, f=[50.0, 1000.0],
-        c_spread=[0.001, 0.0002], m=0.1, r=0.02, k=1.0, F0=[100.0, 2.0], beta0=[0.08, -0.04],
-    )
-    for p in (_params(varsigma=0.1, alpha=-0.5, c_spread=0.001, m=0.1, r=0.02, n_steps=40),
-              two_asset):
+    for p in (_one_asset_costly(), TWO_ASSET):
         n, d = p.n_steps, p.d
         batch = simulate_batch(p, 11, 5)
         b_ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6)
-        assert b_ledger.X.shape == (5, n + 1)
+        assert b_ledger.X.shape == (1, n + 1)
+        assert b_ledger.X_T.shape == b_ledger.dead.shape == (5,)
         assert b_ledger.beta_hat.shape == (5, n + 1, d)
-        assert b_ledger.dead.shape == (5,)
         for name in names:
-            assert getattr(b_ledger.book, name).shape == (5, n, d)
-        assert np.count_nonzero(b_ledger.book.cash_cost) > 5 * n // 4   # it trades, at a cost
-        for i in (0, 2, 4):
+            assert getattr(b_ledger.book, name).shape == (1, n, d)
+        traded = 0
+        for i in range(5):
             one = build_batch(p, batch.dW[i : i + 1], batch.dW2[i : i + 1])
             s_ledger = run_backtest(one, LogOptimalStrategy(), p, x0=1e6)
             rows = slice(i, i + 1)
-            assert _same(b_ledger.X[rows], s_ledger.X, d == 1)
-            for name in names:
-                assert _same(getattr(b_ledger.book, name)[rows], getattr(s_ledger.book, name), d == 1)
+            assert _same(b_ledger.X_T[rows], s_ledger.X_T, d == 1)
             assert np.array_equal(b_ledger.dead[rows], s_ledger.dead)
             assert _same(b_ledger.beta_hat[rows], s_ledger.beta_hat, d == 1)
+            if i not in (0, 2, 4):
+                continue
+            rolled = build_batch(p, np.roll(batch.dW, -i, axis=0), np.roll(batch.dW2, -i, axis=0))
+            r_ledger = run_backtest(rolled, LogOptimalStrategy(), p, x0=1e6)
+            assert _same(r_ledger.X_T, np.roll(b_ledger.X_T, -i), d == 1)
+            assert _same(r_ledger.X, s_ledger.X, d == 1)
+            assert r_ledger.X[0, -1] == r_ledger.X_T[0]
+            for name in names:
+                assert _same(getattr(r_ledger.book, name), getattr(s_ledger.book, name), d == 1)
+            traded += np.count_nonzero(r_ledger.book.cash_cost)
+        assert traded > 3 * n // 4   # it trades, at a cost
+
+
+def test_ledger_history_does_not_grow_with_paths():
+    p = _one_asset_costly()
+
+    def hist_bytes(n_paths):
+        ledger = run_backtest(simulate_batch(p, 3, n_paths), LogOptimalStrategy(), p, x0=1e6)
+        book = ledger.book
+        assert ledger.X_T.shape == (n_paths,)
+        return sum(a.nbytes for a in (ledger.X, book.C, book.pi, book.P, book.trade,
+                                      book.c_tilde, book.cash_cost, book.clipped))
+
+    assert hist_bytes(4) == hist_bytes(400)
+
+
+def _density_oracle(batch, p, theta_max, monkeypatch):
+    """Backtest with the in-loop density, plus build_measure_state on the
+    whole batch from the relative costs the loop computed for every path."""
+    from futopt import trading, wealth
+
+    costs = []
+
+    def recording_cost_term(*args):
+        c_tilde, flagged = trading.cost_term(*args)
+        costs.append(c_tilde.copy())
+        return c_tilde, flagged
+
+    monkeypatch.setattr(wealth, "cost_term", recording_cost_term)
+    ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=theta_max)
+    c_tilde = np.nan_to_num(np.stack(costs, axis=1), nan=0.0)
+    theta = relative_risk(batch.beta[:, : p.n_steps] - c_tilde, p)
+    return ledger, build_measure_state(theta, batch.dW, p, theta_max)
+
+
+@pytest.mark.parametrize("p", [_one_asset_costly(), TWO_ASSET], ids=["d1", "d2"])
+def test_in_loop_density_matches_measure_oracle(p, monkeypatch):
+    batch = simulate_batch(p, 5, 64)
+    theta_max = 0.5   # binds on a share of the rows, not on all of them
+    ledger, ms = _density_oracle(batch, p, theta_max, monkeypatch)
+    assert 0 < ledger.n_capped < 64 * p.n_steps
+    assert ledger.n_capped == ms.n_capped
+    assert _same(ledger.H_T, ms.H[:, -1], p.d == 1)
+    # np.inf is an uncapped density; None (the default) builds none
+    uncapped, ms_inf = _density_oracle(batch, p, np.inf, monkeypatch)
+    assert uncapped.n_capped == ms_inf.n_capped == 0
+    assert _same(uncapped.H_T, ms_inf.H[:, -1], p.d == 1)
+    assert run_backtest(batch, LogOptimalStrategy(), p, x0=1e6).H_T is None
+
+
+def test_in_loop_density_overflow_names_path_and_step():
+    p = _params(n_steps=8)
+    dW = np.full((3, 8, 1), 0.01)
+    dW[1, 5, 0] = -4000.0   # -theta dW = 1600 > log(max float) at theta 0.4
+    batch = build_batch(p, dW, np.zeros_like(dW))
+    with pytest.raises(ModelError, match="step 6 on path 1"):
+        run_backtest(batch, ZeroStrategy(), p, x0=1e6, theta_max=np.inf)
 
 
 def test_engine_cross_checks_relative_form():
@@ -255,14 +328,20 @@ def test_engine_cross_checks_relative_form():
         assert abs(X - ledger.X[0, i + 1]) <= 1e-10 * max(X, 1.0)
 
 
-def test_discounted_series_trivial_when_flat():
+def test_discounted_series_trivial_when_flat(tmp_path):
+    # With r = 0 and theta = 0, gamma = H = 1: the discounted_wealth and
+    # H_wealth columns of the wealth CSV repeat the wealth column exactly.
     p = _params(r=0.0)
     path = simulate_batch(p, 1, 1)
     ledger = run_backtest(path, ConstantWeightStrategy([0.5]), p, x0=1e6)
     ms = build_measure_state(np.zeros((1, 252, 1)), path.dW, p)
-    gamma_X, H_X = discounted_series(ledger, ms)
-    assert np.array_equal(gamma_X, ledger.X)
-    assert np.array_equal(H_X, ledger.X)
+    out = tmp_path / "wealth.csv"
+    write_wealth_csv(out, ledger, ms)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["wealth"]) for row in rows] == ledger.X[0].tolist()
+    for row in rows:
+        assert row["discounted_wealth"] == row["H_wealth"] == row["wealth"]
 
 
 def test_realized_vol_tracks_weight_scale():
@@ -286,7 +365,7 @@ def test_wealth_csv_and_summary(tmp_path):
     assert lines[0].startswith("time,wealth,discounted_wealth,H_wealth")
     assert len(lines) == 34  # header + N + 1 rows
 
-    summary = summary_dict(ledger, p, 1e6, ms)
+    summary = summary_dict(ledger, p, 1e6, ms.H[:, -1])
     for key in ("terminal_mean", "admissibility_violations", "budget_z_score",
                 "realized_monetary_vol", "dead_paths"):
         assert key in summary
