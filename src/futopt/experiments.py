@@ -293,11 +293,8 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
     y_grid = np.geomspace(0.05, 20.0, 9)
     for name, u in utilities.items():
         val = validate_utility(u)
-        gaps = [abs(float(conjugate(u, y)) - conjugate_grid_sup(u, y)) for y in y_grid]
-        entry = {
-            "validation": val,
-            "conjugate_max_gap_vs_grid_sup": max(gaps),
-        }
+        gap = float(np.max(np.abs(conjugate(u, y_grid) - conjugate_grid_sup(u, y_grid))))
+        entry = {"validation": val, "conjugate_max_gap_vs_grid_sup": gap}
         if name == "log":
             dd = [abs(double_conjugate_grid(u, x) - float(np.log(x))) for x in (0.5, 1.0, 2.0)]
             entry["double_conjugate_max_gap"] = max(dd)
@@ -306,8 +303,8 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         checks.append(
             {
                 "name": f"conjugate_gap:{name}",
-                "passed": bool(max(gaps) <= 1e-6),
-                "detail": f"max gap {max(gaps):.3g}",
+                "passed": bool(gap <= 1e-6),
+                "detail": f"max gap {gap:.3g}",
             }
         )
 
@@ -390,8 +387,9 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
     perturbations = {
         "scaled_0.5": lambda: ScaledStrategy(base(), 0.5),
         "scaled_1.5": lambda: ScaledStrategy(base(), 1.5),
-        "lagged_5": lambda: LaggedEstimateStrategy(base(), lag=5),
     }
+    if np.any(params.varsigma != 0):  # a fixed drift keeps beta_hat at beta0: a lag changes nothing
+        perturbations["lagged_5"] = lambda: LaggedEstimateStrategy(base(), lag=5)
     if params.d > 1:
         keep = np.zeros(params.d, dtype=bool)
         keep[0] = True
@@ -414,6 +412,7 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
             "diff_vs_base": row.diff_vs_base,
             "diff_stderr": row.diff_stderr,
             "base_dominates": bool(row.base_dominates),
+            "degenerate": bool(row.degenerate),
         }
         for row in rows[1:]
     }
@@ -423,8 +422,9 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
     checks = [
         {
             "name": f"dominance:{row.policy}",
-            "passed": bool(row.diff_vs_base <= 2.0 * row.diff_stderr),
-            "detail": f"gap vs base {row.diff_vs_base:.3g} (se {row.diff_stderr:.3g})",
+            "passed": bool(not row.degenerate and row.diff_vs_base <= 2.0 * row.diff_stderr),
+            "detail": ("degenerate: " if row.degenerate else "")
+            + f"gap vs base {row.diff_vs_base:.3g} (se {row.diff_stderr:.3g})",
         }
         for row in rows[1:]
     ]

@@ -34,12 +34,12 @@ def cholesky_pd(mat: np.ndarray, name: str) -> np.ndarray:
 def _as_matrix(value, d: int, name: str) -> np.ndarray:
     """Coerce scalars to scalar * I and validate the (d, d) shape."""
     arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):       # before promotion: inf * eye(d) warns on 0 * inf
+        raise ModelError(f"{name} must be finite")
     if arr.ndim == 0:
         arr = float(arr) * np.eye(d)
     if arr.shape != (d, d):
         raise ModelError(f"{name} must have shape ({d}, {d}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{name} must be finite")
     return arr
 
 

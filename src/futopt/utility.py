@@ -146,9 +146,11 @@ def conjugate(u: UtilitySpec, y) -> np.ndarray:
     return u.u(i) - i * y
 
 
-def _golden_section_max(f: Callable[[float], float], a: float, b: float, n_iter: int):
+def _golden_section_max(f: Callable, a, b, n_iter: int):
     """Golden-section search (Kiefer 1953) for a maximum of f on [a, b].
 
+    Elementwise over arrays of brackets: each element takes the scalar branch
+    (the same `fc > fd` test, ties and NaN included); f sees one new point each.
     Returns the final bracket (a, b) and f at its two interior points.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -156,45 +158,53 @@ def _golden_section_max(f: Callable[[float], float], a: float, b: float, n_iter:
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(n_iter):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        left = fc > fd
+        a, b = np.where(left, (a, d), (c, b))
+        p = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fp = f(p)
+        c, d, fc, fd = np.where(left, (p, c, fp, fc), (d, p, fd, fp))
     return a, b, fc, fd
 
 
 def conjugate_grid_sup(
     u: UtilitySpec,
-    y: float,
+    y: float | np.ndarray,
     x_lo: float = 1e-8,
     x_hi: float = 1e8,
     n_grid: int = 4001,
     n_refine: int = 80,
-) -> float:
+) -> float | np.ndarray:
     """Brute-force sup over x of U(x) - x y on a log grid plus refinement.
 
     Independent of the inverse marginal: locates the argmax on a dense grid,
     then tightens with golden-section search over the bracketing interval.
+    y may be a scalar (a float comes back) or an array (the same shape comes
+    back, bit-equal to scalar calls element by element).  An array costs a
+    (y.size, n_grid) temporary, so callers pass long y grids in blocks of rows.
     """
-    if y <= 0:
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
         raise ModelError("conjugate is defined for y > 0")
     x = np.geomspace(x_lo, x_hi, n_grid)
-    vals = u.u(x) - x * y
-    j = int(np.argmax(vals))
-    lo = x[max(j - 1, 0)]
-    hi = x[min(j + 1, n_grid - 1)]
+    vals = u.u(x) - x * y[..., None]
+    j = np.argmax(vals, axis=-1)
+    v_j = np.take_along_axis(vals, j[..., None], axis=-1)[..., 0]
+    lo = x[np.maximum(j - 1, 0)]
+    hi = x[np.minimum(j + 1, n_grid - 1)]
 
-    def objective(t: float) -> float:
+    def objective(t):
         xt = np.exp(t)
         return u.u(xt) - xt * y
 
     a, b, _, _ = _golden_section_max(objective, np.log(lo), np.log(hi), n_refine)
     x_star = np.exp(0.5 * (a + b))
-    return float(max(vals[j], u.u(x_star) - x_star * y))
+    refined = u.u(x_star) - x_star * y
+    sup = np.where(refined > v_j, refined, v_j)      # max(v_j, refined), NaN as before
+    return float(sup) if sup.ndim == 0 else sup
+
+
+# y rows per oracle call: (rows, 801) temporaries of about 1.6 MB leave peak RSS where it was.
+_Y_BLOCK = 256
 
 
 def double_conjugate_grid(u: UtilitySpec, x: float, n_grid: int = 4001, n_refine: int = 80) -> float:
@@ -202,7 +212,8 @@ def double_conjugate_grid(u: UtilitySpec, x: float, n_grid: int = 4001, n_refine
     if x <= 0:
         raise ModelError("double conjugate is defined for x > 0")
     y = np.geomspace(1e-8, 1e8, n_grid)
-    vals = np.array([conjugate_grid_sup(u, yy, n_grid=801, n_refine=40) for yy in y]) + x * y
+    blocks = np.split(y, range(_Y_BLOCK, n_grid, _Y_BLOCK))
+    vals = np.concatenate([conjugate_grid_sup(u, yb, n_grid=801, n_refine=40) for yb in blocks]) + x * y
     j = int(np.argmin(vals))
     lo = y[max(j - 1, 0)]
     hi = y[min(j + 1, n_grid - 1)]
@@ -391,6 +402,10 @@ class ProbeRow:
     @property
     def base_dominates(self) -> bool:
         return self.diff_vs_base < -2.0 * self.diff_stderr
+
+    @property
+    def degenerate(self) -> bool:  # every paired difference is 0: the policy ties the base
+        return self.diff_vs_base == 0.0 and self.diff_stderr == 0.0
 
 
 def optimality_probe(

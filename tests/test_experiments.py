@@ -111,25 +111,55 @@ def test_cost_sweep_rows_and_scaling(tmp_path):
         assert p == pytest.approx(products[0], rel=1e-12)
 
 
-def test_optimality_probe_schema(tmp_path):
-    cfg = _cfg(
+def _probe_cfg(varsigma):
+    return _cfg(
         "optimality-probe",
-        market={"alpha": 0.0, "varsigma": 0.0, "c_spread": 0.0, "m": 0.0,
+        market={"alpha": 0.0, "varsigma": varsigma, "c_spread": 0.0, "m": 0.0,
                 "r": 0.0, "n_steps": 8},
         mc={"n_paths": 256, "seed": 0},
         strategy={"mode": "zero_cost"},
     )
-    result = run_experiment(cfg, out_dir=tmp_path)
+
+
+def test_optimality_probe_schema(tmp_path):
+    # known drift (varsigma 0): the filter never leaves beta0, so no lagged variant runs
+    result = run_experiment(_probe_cfg(0.0), out_dir=tmp_path)
     assert result.status == 0
     rows = _read_csv(tmp_path / "optimality_probe.csv")
     assert rows[0] == ["policy", "n_paths", "mean_utility", "stderr"]
-    assert [r[0] for r in rows[1:]] == ["base", "scaled_0.5", "scaled_1.5", "lagged_5"]
+    assert [r[0] for r in rows[1:]] == ["base", "scaled_0.5", "scaled_1.5"]
     summary = json.loads((tmp_path / "probe_summary.json").read_text())
-    assert set(summary) == {"scaled_0.5", "scaled_1.5", "lagged_5"}
+    assert set(summary) == {"scaled_0.5", "scaled_1.5"}
     for entry in summary.values():
-        assert {"diff_vs_base", "diff_stderr", "base_dominates"} <= set(entry)
+        assert set(entry) == {"diff_vs_base", "diff_stderr", "base_dominates", "degenerate"}
+        assert entry["degenerate"] is False
     # known drift, no costs: scaling the optimal weight always hurts
     assert summary["scaled_0.5"]["diff_vs_base"] < 0
+
+
+def test_optimality_probe_lags_a_learned_drift(tmp_path):
+    result = run_experiment(_probe_cfg(0.3), out_dir=tmp_path)
+    rows = _read_csv(tmp_path / "optimality_probe.csv")
+    assert [r[0] for r in rows[1:]] == ["base", "scaled_0.5", "scaled_1.5", "lagged_5"]
+    lagged = json.loads((tmp_path / "probe_summary.json").read_text())["lagged_5"]
+    assert lagged["diff_vs_base"] != 0.0 and lagged["diff_stderr"] > 0.0
+    assert lagged["degenerate"] is False
+    check = {c["name"]: c for c in result.checks}["dominance:lagged_5"]
+    assert check["passed"] == (lagged["diff_vs_base"] <= 2.0 * lagged["diff_stderr"])
+
+
+def test_optimality_probe_tie_with_base_fails_as_degenerate(tmp_path, monkeypatch):
+    import futopt.experiments as experiments
+
+    # a "lag" that returns the base policy itself ties it on every path
+    monkeypatch.setattr(experiments, "LaggedEstimateStrategy", lambda strategy, lag: strategy)
+    result = run_experiment(_probe_cfg(0.3), out_dir=tmp_path)
+    assert result.status == 1
+    lagged = json.loads((tmp_path / "probe_summary.json").read_text())["lagged_5"]
+    assert lagged["diff_vs_base"] == 0.0 and lagged["diff_stderr"] == 0.0
+    assert lagged["degenerate"] is True
+    check = {c["name"]: c for c in result.checks}["dominance:lagged_5"]
+    assert not check["passed"] and check["detail"].startswith("degenerate")
 
 
 def test_manifest_contents(tmp_path):

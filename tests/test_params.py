@@ -109,3 +109,16 @@ def test_sigma_singular_allowed_at_construction():
                      alpha=0.0, varsigma=0.0, f=1.0, c_spread=0.0,
                      m=0.0, r=0.0, k=1.0, F0=1.0, beta0=0.0)
     assert not p.sigma_invertible()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_scalar_matrix_raises_without_warning(d, value):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="sigma must be finite"):
+            MarketParams(d=d, n_steps=1, delta_t=0.1, sigma=value, rho=1.0,
+                         alpha=0.0, varsigma=0.0, f=1.0, c_spread=0.0,
+                         m=0.0, r=0.0, k=1.0, F0=1.0, beta0=0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,115 @@ def test_grid_sup_agrees_with_closed_form(u):
         exact = float(conjugate(u, y))
         grid = conjugate_grid_sup(u, y)
         assert abs(grid - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def _scalar_golden_max(f, a, b, n_iter):
+    """The golden-section loop as it ran on one bracket at a time."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(n_iter):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return a, b, fc, fd
+
+
+def _scalar_grid_sup(u, y, n_grid, n_refine):
+    x = np.geomspace(1e-8, 1e8, n_grid)
+    vals = u.u(x) - x * y
+    j = int(np.argmax(vals))
+    lo, hi = x[max(j - 1, 0)], x[min(j + 1, n_grid - 1)]
+
+    def objective(t):
+        xt = np.exp(t)
+        return u.u(xt) - xt * y
+
+    a, b, _, _ = _scalar_golden_max(objective, np.log(lo), np.log(hi), n_refine)
+    x_star = np.exp(0.5 * (a + b))
+    return float(max(vals[j], u.u(x_star) - x_star * y))
+
+
+def _scalar_double_conjugate(u, x, n_grid, n_refine):
+    """One scalar oracle call per y point, as before the oracle took arrays."""
+    y = np.geomspace(1e-8, 1e8, n_grid)
+    vals = np.array([_scalar_grid_sup(u, yy, 801, 40) for yy in y]) + x * y
+    j = int(np.argmin(vals))
+    lo, hi = y[max(j - 1, 0)], y[min(j + 1, n_grid - 1)]
+
+    def neg_objective(t):
+        yy = np.exp(t)
+        return -(_scalar_grid_sup(u, yy, 801, 40) + x * yy)
+
+    _, _, fc, fd = _scalar_golden_max(neg_objective, np.log(lo), np.log(hi), n_refine)
+    return float(min(vals[j], -fc, -fd))
+
+
+Y_WIDE = np.geomspace(1e-8, 1e8, 4001)
+
+
+@pytest.mark.parametrize("u", [log_utility(), power_utility(0.2)], ids=["log", "power_0.2"])
+def test_grid_sup_array_equals_scalar_calls(u):
+    arr = conjugate_grid_sup(u, Y_WIDE, n_grid=801, n_refine=40)
+    # every row against the scalar search, and every 8th row (both ends too) against a scalar call
+    assert np.array_equal(arr, [_scalar_grid_sup(u, y, 801, 40) for y in Y_WIDE])
+    rows = np.r_[0:4001:8, 4000]
+    assert np.array_equal(arr[rows], [conjugate_grid_sup(u, y, n_grid=801, n_refine=40) for y in Y_WIDE[rows]])
+    # the grid covers rows whose argmax sits on the first and on the last grid point
+    x = np.geomspace(1e-8, 1e8, 801)
+    j = np.argmax(u.u(x) - x * Y_WIDE[:, None], axis=-1)
+    assert j.min() == 0 and j.max() == 800
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+def test_double_conjugate_equals_scalar_loop(x):
+    u = log_utility()
+    # 601 points: two full blocks of rows and a short one
+    assert double_conjugate_grid(u, x, n_grid=601, n_refine=20) == _scalar_double_conjugate(u, x, 601, 20)
+
+
+def test_grid_sup_shapes_and_types():
+    u = power_utility(0.2)
+    for y in (0.7, np.float64(0.7), np.asarray(0.7)):
+        assert type(conjugate_grid_sup(u, y)) is float
+    assert conjugate_grid_sup(u, np.full((2, 3), 0.7)).shape == (2, 3)
+    assert conjugate_grid_sup(u, [0.7])[0] == conjugate_grid_sup(u, 0.7)
+
+
+@pytest.mark.parametrize("y", [[1.0, 0.0, 2.0], [1.0, -1.0], [[2.0], [-3.0]]])
+def test_grid_sup_rejects_any_nonpositive_y(y):
+    with pytest.raises(ModelError, match="y > 0"):
+        conjugate_grid_sup(log_utility(), np.asarray(y))
+
+
+def test_grid_oracles_never_use_the_first_order_conjugate():
+    def refuse(y):
+        raise AssertionError("the grid oracle must not call inverse_marginal or conj")
+
+    u = dataclasses.replace(log_utility(), inverse_marginal=refuse, conj=refuse)
+    conjugate_grid_sup(u, np.geomspace(0.05, 20.0, 9))
+    double_conjugate_grid(u, 1.0, n_grid=301, n_refine=10)
+
+
+def test_double_conjugate_calls_oracle_once_per_block(monkeypatch):
+    import futopt.utility as utility
+
+    calls = []
+    real = utility.conjugate_grid_sup
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(utility, "conjugate_grid_sup", counted)
+    double_conjugate_grid(log_utility(), 1.0, n_grid=4001, n_refine=80)
+    assert len(calls) <= -(-4001 // utility._Y_BLOCK) + 80 + 2
 
 
 def test_double_conjugate_recovers_log_utility():
