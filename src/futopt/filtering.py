@@ -87,9 +87,9 @@ class FilterHistory:
 
     beta_hat rows are the estimates available at the start of each step;
     d_nu holds the N innovation increments and nu their running sum with
-    nu_0 = 0.  run_filter_batch stores beta_hat and d_nu step-major and
-    returns them as (n_paths, ..., d) transposed views: a per-path slice is
-    strided and keeps the whole batch alive, so copy what must outlive it.
+    nu_0 = 0.  As in PathBatch, memory is step-major: beta_hat and d_nu are
+    (n_paths, ..., d) views of (N + 1 | N, n_paths, d) buffers, so a path's
+    slice is strided and keeps the whole batch alive.
     """
 
     beta_hat: np.ndarray     # (n_paths, N + 1, d)
@@ -113,7 +113,8 @@ def run_filter_batch(
     """Filter many paths at once.
 
     The gain schedule does not depend on the observations, so the error
-    covariance is computed once and shared across the path axis.
+    covariance is computed once and shared across the path axis.  Rows
+    delta_R[:, i] are read in place, contiguous if delta_R is step-major.
     """
     delta_R = np.asarray(delta_R, dtype=float)
     n_paths, n, d = delta_R.shape
@@ -122,7 +123,7 @@ def run_filter_batch(
     p = default_p_cov0(params) if p_cov0 is None else np.asarray(p_cov0, dtype=float)
     b0 = params.beta0 if beta_hat0 is None else np.asarray(beta_hat0, dtype=float)
 
-    dR_steps = np.ascontiguousarray(delta_R.transpose(1, 0, 2))
+    dR_steps = delta_R.transpose(1, 0, 2)
     beta_steps = np.empty((n + 1, n_paths, d))
     beta_steps[0] = b0
     p_cov = np.empty((n + 1, d, d))

@@ -2,9 +2,8 @@
 
 A strategy is a causal map from observables to portfolio weights.  The
 observation bundle deliberately exposes only what a real trader sees:
-prices, cumulative returns, the filtered drift estimate, the previous
-position, and current wealth.  The latent drift and the driving noise never
-cross this interface.
+prices, the filtered drift estimate, the previous position, and current
+wealth.  The latent drift and the driving noise never cross this interface.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class StrategyObs:
     t: float
     F: np.ndarray          # (n_paths, d)
     C: np.ndarray          # (n_paths, d)
-    R: np.ndarray          # (n_paths, d)
     X: np.ndarray          # (n_paths,)
     P_prev: np.ndarray     # (n_paths, d)
     beta_hat: np.ndarray | None
@@ -173,8 +171,7 @@ class LaggedEstimateStrategy(Strategy):
         idx = max(len(self._history) - 1 - self.lag, 0)
         lagged = self._history[idx] if self._history else obs.beta_hat
         stale = StrategyObs(
-            n=obs.n, t=obs.t, F=obs.F, C=obs.C, R=obs.R, X=obs.X,
-            P_prev=obs.P_prev, beta_hat=lagged,
+            n=obs.n, t=obs.t, F=obs.F, C=obs.C, X=obs.X, P_prev=obs.P_prev, beta_hat=lagged,
         )
         return self.inner.weights(stale)
 

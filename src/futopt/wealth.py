@@ -92,10 +92,11 @@ class WealthLedger:
     """Backtest output: path 0's per-step record plus every path's terminal state.
 
     X and the book hold path 0 only, as a batch of one, so their size does
-    not grow with the number of paths.  X_T, dead, beta_hat and events cover
-    every path; events is a list of (path, step, kind) tuples for clip,
-    zero-cost fallback and admissibility incidents.  H_T and n_capped are
-    set when run_backtest is asked for the state price density.
+    not grow with the number of paths.  X_T, dead and events cover every
+    path; events is a list of (path, step, kind) tuples for clip, zero-cost
+    fallback and admissibility incidents.  H_T and n_capped are set when
+    run_backtest is asked for the state price density.  Nothing else per
+    path is kept: the loop reads the filter's estimates a row at a time.
     """
 
     t_grid: np.ndarray
@@ -104,7 +105,6 @@ class WealthLedger:
     X_T: np.ndarray                   # (n_paths,)
     dead: np.ndarray                  # (n_paths,) bool, absorbed at zero
     events: list[tuple[int, int, str]] = field(default_factory=list)
-    beta_hat: np.ndarray | None = None   # (n_paths, N + 1, d)
     H_T: np.ndarray | None = None     # (n_paths,), gamma_N Z_N
     n_capped: int = 0                 # theta rows scaled back onto the cap
 
@@ -134,7 +134,8 @@ def run_backtest(
 
     The ledger keeps the full per-step record (X and the position book) for
     path 0 only, and for every path the terminal wealth X_T, the absorption
-    flags, the filter estimates and the event list.
+    flags and the event list.  Step n reads row n of F, beta, dW and the
+    filter's estimates: contiguous, with no copy, in a step-major batch.
 
     Given theta_max (np.inf for no cap) and a batch with latent beta and
     dW, the loop also builds the terminal state price density H_T = gamma_N
@@ -145,19 +146,16 @@ def run_backtest(
     """
     if x0 < 0:
         raise ModelError("initial wealth must be nonnegative")
-    F, R = paths.F, paths.R
-    n_paths, n_grid, d = F.shape
+    n_paths, n_grid, d = paths.F.shape
     n = n_grid - 1
     t_grid = paths.t_grid
-    F_steps = np.ascontiguousarray(F.transpose(1, 0, 2))
+    F_steps = paths.F.transpose(1, 0, 2)
 
     if params.sigma_invertible():
-        # Bound for the whole loop: passed inline it raised peak RSS (heap layout).
-        dR_all = paths.delta_R()
-        beta_hat_all = run_filter_batch(dR_all, params, p_cov0, beta_hat0).beta_hat
-        beta_steps = beta_hat_all.transpose(1, 0, 2)   # the filter's own storage
+        beta_hat = run_filter_batch(paths.delta_R(), params, p_cov0, beta_hat0).beta_hat
+        beta_steps = beta_hat.transpose(1, 0, 2)   # the filter's own storage
     else:
-        beta_hat_all = beta_steps = None
+        beta_steps = None
 
     X = np.full(n_paths, float(x0))
     dead = X <= 0
@@ -176,6 +174,8 @@ def run_backtest(
     events: list[tuple[int, int, str]] = []
 
     density = theta_max is not None and paths.beta is not None and paths.dW is not None
+    if density:
+        beta_lat, dW_steps = paths.beta.transpose(1, 0, 2), paths.dW.transpose(1, 0, 2)
     log_z, Z, n_capped = np.zeros(n_paths), np.ones(n_paths), 0
 
     strategy.reset(n_paths, params)
@@ -188,7 +188,6 @@ def run_backtest(
             t=float(t_grid[i]),
             F=F_i,
             C=C_i,
-            R=R[:, i, :],
             X=X,
             P_prev=P_prev,
             beta_hat=None if beta_steps is None else beta_steps[i],
@@ -216,10 +215,10 @@ def run_backtest(
                 events.append((int(p_idx), i, f"cash_cost_fallback:{a_idx + 1}"))
 
         if density:
-            theta = relative_risk(paths.beta[:, i, :] - np.nan_to_num(c_tilde, nan=0.0), params)
+            theta = relative_risk(beta_lat[i] - np.nan_to_num(c_tilde, nan=0.0), params)
             theta, capped = cap_relative_risk(theta, theta_max)
             n_capped += capped
-            log_z += log_martingale_step(theta, paths.dW[:, i, :], params)
+            log_z += log_martingale_step(theta, dW_steps[i], params)
             with np.errstate(over="ignore"):
                 Z = np.exp(log_z)
             if not np.all(np.isfinite(Z)):
@@ -252,7 +251,6 @@ def run_backtest(
         X_T=X,
         dead=dead,
         events=events,
-        beta_hat=beta_hat_all,
         H_T=H_T,
         n_capped=n_capped,
     )

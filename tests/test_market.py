@@ -158,6 +158,20 @@ def test_positivity_guard_floors_factor():
     assert np.all(1.0 + dR >= p.pos_floor - 1e-15)
 
 
+def test_positivity_floor_underflows_after_about_40_hits():
+    # Each guarded step multiplies F by pos_floor = 1e-8: from F0 = 100 the
+    # price reaches 0.0 after about 40 hits, and trading on it then fails
+    # with a named ModelError (the CLI's exit 2).
+    from futopt import ZeroStrategy, run_backtest
+
+    p = _params(sigma=30.0, n_steps=252)
+    batch = simulate_batch(p, 0, 2)
+    assert np.all(batch.guard_events > 40)
+    assert np.all(batch.F[:, -1] == 0.0)
+    with pytest.raises(ModelError, match="strictly positive"):
+        run_backtest(batch, ZeroStrategy(), p, 1.0)
+
+
 def test_guard_absent_for_tame_parameters():
     p = _params(n_steps=252)
     path = simulate_batch(p, 4, 1)
@@ -189,6 +203,79 @@ def test_build_batch_reproduces_simulation():
     rebuilt = build_batch(p, path.dW, path.dW2)
     assert np.array_equal(rebuilt.F, path.F)
     assert np.array_equal(rebuilt.beta, path.beta)
+
+
+def _bulk_draws(p, seed, n_paths):
+    """Path-major increments on simulate_batch's two Philox sub-streams."""
+    ss = np.random.SeedSequence(seed)
+    ss_w, ss_w2 = (
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
+        for k in range(2)
+    )
+    n, d, dt = p.n_steps, p.d, p.delta_t
+    z = np.random.Generator(np.random.Philox(ss_w)).standard_normal((n_paths, n, d))
+    dW = np.sqrt(dt) * (z @ p.rho_cholesky().T)
+    dW2 = np.sqrt(dt) * np.random.Generator(np.random.Philox(ss_w2)).standard_normal((n_paths, n, d))
+    return dW, dW2
+
+
+def _bulk_build(p, dW, dW2):
+    """Test-local copy of the earlier whole-array, path-major build.
+
+    3-D matmuls, cumprod and cumsum along the step axis, and the drift loop
+    over strided [:, i, :] slices.
+    """
+    n_paths, n, d = dW.shape
+    dt = p.delta_t
+    A = np.eye(d) + p.alpha * dt
+    shock = dW2 @ p.varsigma.T
+    beta = np.empty((n_paths, n + 1, d))
+    beta[:, 0, :] = p.beta0
+    for i in range(n):
+        beta[:, i + 1, :] = beta[:, i, :] @ A.T + shock[:, i, :]
+    factor = 1.0 + beta[:, :n, :] * dt + dW @ p.sigma.T
+    guarded = np.maximum(factor, p.pos_floor)
+    F = np.empty((n_paths, n + 1, d))
+    F[:, 0, :] = p.F0
+    F[:, 1:, :] = p.F0 * np.cumprod(guarded, axis=1)
+    R = np.zeros((n_paths, n + 1, d))
+    np.cumsum(guarded - 1.0, axis=1, out=R[:, 1:, :])
+    guard_events = (factor < p.pos_floor).sum(axis=(1, 2))
+    return dict(F=F, R=R, beta=beta, dW=dW, dW2=dW2, guard_events=guard_events)
+
+
+_TWO_ASSET = dict(d=2, sigma=[[0.2, 0.05], [0.0, 0.25]], rho=[[1.0, 0.3], [0.3, 1.0]],
+                  alpha=[[-0.5, 0.0], [0.1, -1.0]], varsigma=[[0.1, 0.02], [0.0, 0.15]],
+                  F0=[100.0, 2.0], beta0=[0.08, -0.04])
+STEP_MAJOR_CASES = {
+    # (params, n_paths), sized so that a batch spans several step blocks
+    "d1": (_params(varsigma=0.1, alpha=-0.5, n_steps=48), 700),
+    "d2": (_params(n_steps=48, **_TWO_ASSET), 700),
+    "guarded": (_params(sigma=20.0, varsigma=0.3, alpha=-0.5, n_steps=24), 1400),
+    "d2_one_long_path": (_params(n_steps=17_000, **_TWO_ASSET), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_MAJOR_CASES))
+def test_streamed_build_equals_bulk_build(case):
+    # The step-major, block-by-block build gives the bulk build's values bit
+    # for bit, from simulate_batch and from build_batch on path-major
+    # increments, whole or sliced (a one-path slice included at d = 2).
+    p, n_paths = STEP_MAJOR_CASES[case]
+    dW, dW2 = _bulk_draws(p, 17, n_paths)
+    names = ("F", "R", "beta", "dW", "dW2", "guard_events")
+    ref = _bulk_build(p, dW, dW2)
+    if case == "guarded":
+        assert ref["guard_events"].sum() > n_paths
+    batch = simulate_batch(p, 17, n_paths)
+    assert batch.F[:, 3].flags.c_contiguous
+    for name in names:
+        assert np.array_equal(getattr(batch, name), ref[name]), name
+    for rows in (slice(None), slice(1, 2), slice(None, None, 3)):
+        ref = _bulk_build(p, dW[rows], dW2[rows])
+        rebuilt = build_batch(p, dW[rows], dW2[rows])
+        for name in names:
+            assert np.array_equal(getattr(rebuilt, name), ref[name]), (name, rows)
 
 
 def test_csv_round_trip(tmp_path):

@@ -288,7 +288,7 @@ def test_hoisted_factor_matches_per_step_solve(d, mode, literal_product):
     n = 64
     F = rng.uniform(50.0, 150.0, size=(n, d))
     obs = StrategyObs(
-        n=3, t=3 * p.delta_t, F=F, C=contract_price(F, p.f), R=np.zeros((n, d)),
+        n=3, t=3 * p.delta_t, F=F, C=contract_price(F, p.f),
         X=np.where(rng.random(n) < 0.1, 1.0, rng.uniform(0.0, 2e6, size=n)),
         P_prev=rng.normal(scale=100.0, size=(n, d)),
         beta_hat=rng.normal(scale=0.05, size=(n, d)),

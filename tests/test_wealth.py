@@ -16,6 +16,7 @@ from futopt import (
     realized_monetary_vol,
     relative_risk,
     run_backtest,
+    run_filter_batch,
     simulate_batch,
     step_wealth,
     step_wealth_cash,
@@ -230,9 +231,10 @@ def test_batch_matches_single_paths():
         n, d = p.n_steps, p.d
         batch = simulate_batch(p, 11, 5)
         b_ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6)
+        b_beta_hat = run_filter_batch(batch.delta_R(), p).beta_hat   # what the loop read
         assert b_ledger.X.shape == (1, n + 1)
         assert b_ledger.X_T.shape == b_ledger.dead.shape == (5,)
-        assert b_ledger.beta_hat.shape == (5, n + 1, d)
+        assert b_beta_hat.shape == (5, n + 1, d)
         for name in names:
             assert getattr(b_ledger.book, name).shape == (1, n, d)
         traded = 0
@@ -242,7 +244,7 @@ def test_batch_matches_single_paths():
             rows = slice(i, i + 1)
             assert _same(b_ledger.X_T[rows], s_ledger.X_T, d == 1)
             assert np.array_equal(b_ledger.dead[rows], s_ledger.dead)
-            assert _same(b_ledger.beta_hat[rows], s_ledger.beta_hat, d == 1)
+            assert _same(b_beta_hat[rows], run_filter_batch(one.delta_R(), p).beta_hat, d == 1)
             if i not in (0, 2, 4):
                 continue
             rolled = build_batch(p, np.roll(batch.dW, -i, axis=0), np.roll(batch.dW2, -i, axis=0))
@@ -267,6 +269,32 @@ def test_ledger_history_does_not_grow_with_paths():
                                       book.c_tilde, book.cash_cost, book.clipped))
 
     assert hist_bytes(4) == hist_bytes(400)
+
+
+def test_step_major_memory_budget():
+    # Peak traced memory in units of one (n_paths, N + 1, d) float array.
+    # The batch is five units (F, R, beta, dW, dW2); a step-major build
+    # allocates little beyond them, and a backtest adds the filter's input
+    # and output (three units).  A whole-array path-major build, or a
+    # backtest that copies F and the returns step-major, needs about 10.
+    import tracemalloc
+
+    p = _params(varsigma=0.1, alpha=-0.5, c_spread=0.001, m=0.1, r=0.02, n_steps=64)
+    n_paths = 4096
+    unit = n_paths * (p.n_steps + 1) * p.d * 8
+    for n in (8, n_paths):   # the first pass warms up lazy imports and caches
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(p, 5, n)
+            sim_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del batch
+    assert sim_peak <= 6 * unit, sim_peak / unit
+    assert run_peak <= 9 * unit, run_peak / unit
 
 
 def _density_oracle(batch, p, theta_max, monkeypatch):
