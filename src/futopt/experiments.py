@@ -46,13 +46,21 @@ Z_MAX = 4.0
 
 @dataclass
 class ExperimentResult:
-    status: int
     artifacts: list[str] = field(default_factory=list)
     checks: list[dict] = field(default_factory=list)
 
     @property
     def failed_checks(self) -> list[dict]:
         return [c for c in self.checks if not c["passed"]]
+
+    @property
+    def status(self) -> int:
+        """0 when every check passed, else 1."""
+        return 1 if self.failed_checks else 0
+
+
+def _check(name: str, passed, detail: str = "") -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -141,16 +149,10 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
             batch.to_csv(p, i)
             artifacts.append(str(p))
     frac = guard_total / (n_paths * params.n_steps * params.d)
-    checks = [
-        {
-            "name": "positivity_guard_fraction",
-            "passed": bool(frac <= params.guard_warn_fraction),
-            "detail": f"guard events on {frac:.3g} of steps",
-        }
-    ]
+    checks = [_check("positivity_guard_fraction", frac <= params.guard_warn_fraction,
+                     f"guard events on {frac:.3g} of steps")]
     artifacts.append(str(_manifest(cfg, out, n_paths, seed)))
-    status = 0 if all(c["passed"] for c in checks) else 1
-    return ExperimentResult(status=status, artifacts=artifacts, checks=checks)
+    return ExperimentResult(artifacts, checks)
 
 
 def _strategy_measure(batch, ledger, params, theta_max):
@@ -211,15 +213,9 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     artifacts.append(str(summary_path))
     artifacts.append(str(_manifest(cfg, out, n_paths, seed)))
 
-    checks = [
-        {
-            "name": "budget_balance",
-            "passed": bool(bal.mean - s.x0 <= max(3.0 * bal.stderr, 1e-9 * s.x0)),
-            "detail": f"E[H X] = {bal.mean:.6g} vs x0 = {s.x0:.6g} (z = {bal.z_score(s.x0):.2f})",
-        }
-    ]
-    status = 0 if all(c["passed"] for c in checks) else 1
-    return ExperimentResult(status=status, artifacts=artifacts, checks=checks)
+    checks = [_check("budget_balance", bal.mean - s.x0 <= max(3.0 * bal.stderr, 1e-9 * s.x0),
+                     f"E[H X] = {bal.mean:.6g} vs x0 = {s.x0:.6g} (z = {bal.z_score(s.x0):.2f})")]
+    return ExperimentResult(artifacts, checks)
 
 
 def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -254,23 +250,12 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         target = 1.0 if name in ("E[Z_T]", "E[Z_T/zeta_T]") else 0.0
         z = mom.z_score(target)
         rows.append((name, mom.n, mom.mean, mom.stderr, target, z))
-        checks.append(
-            {
-                "name": f"martingale:{name}",
-                "passed": bool(abs(z) <= Z_MAX),
-                "detail": f"mean {mom.mean:.6g}, target {target}, z {z:.2f}",
-            }
-        )
+        checks.append(_check(f"martingale:{name}", abs(z) <= Z_MAX,
+                             f"mean {mom.mean:.6g}, target {target}, z {z:.2f}"))
     # The recursion gap grows with the largest |dW| draw in the run; 1e-4
     # still catches sign and scaling mistakes at any realistic path count.
     max_gap = max(zeta_gaps) if zeta_gaps else 0.0
-    checks.append(
-        {
-            "name": "zeta_recursion_gap",
-            "passed": bool(max_gap < 1e-4),
-            "detail": f"max relative gap {max_gap:.3g}",
-        }
-    )
+    checks.append(_check("zeta_recursion_gap", max_gap < 1e-4, f"max relative gap {max_gap:.3g}"))
 
     report = out / "measure_report.csv"
     with open(report, "w", newline="") as fh:
@@ -279,9 +264,20 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         for name, n_p, mean, se, target, z in sorted(rows):
             writer.writerow([name, n_p, repr(mean), repr(se), repr(float(target)), repr(z)])
 
-    artifacts = [str(report), str(_manifest(cfg, out, n_paths, seed))]
-    status = 0 if all(c["passed"] for c in checks) else 1
-    return ExperimentResult(status=status, artifacts=artifacts, checks=checks)
+    return ExperimentResult([str(report), str(_manifest(cfg, out, n_paths, seed))], checks)
+
+
+def _value_arbitration(params, seed: int, n_paths: int, x0: float):
+    """The two printed value formulas vs the Monte Carlo mean of log xi_T on a
+    fresh batch; each array is dropped as soon as no later stage reads it."""
+    batch = simulate_batch(params, np.random.SeedSequence(seed), n_paths)
+    dW, delta_R = batch.dW, batch.delta_R()
+    del batch
+    beta_hat = run_filter_batch(delta_R, params).beta_hat
+    del delta_R
+    theta_hat = relative_risk(beta_hat[:, : params.n_steps, :], params)
+    del beta_hat
+    return log_optimal_closed_forms(theta_hat, dW, params, x0)
 
 
 def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -299,21 +295,10 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
             dd = [abs(double_conjugate_grid(u, x) - float(np.log(x))) for x in (0.5, 1.0, 2.0)]
             entry["double_conjugate_max_gap"] = max(dd)
         report["utilities"][name] = entry
-        checks.append({"name": f"utility_valid:{name}", "passed": bool(val["ok"]), "detail": ""})
-        checks.append(
-            {
-                "name": f"conjugate_gap:{name}",
-                "passed": bool(gap <= 1e-6),
-                "detail": f"max gap {gap:.3g}",
-            }
-        )
+        checks.append(_check(f"utility_valid:{name}", val["ok"]))
+        checks.append(_check(f"conjugate_gap:{name}", gap <= 1e-6, f"max gap {gap:.3g}"))
 
-    # Value-function arbitration: simulate, filter, and compare the two
-    # printed value formulas against the Monte Carlo mean of log xi_T.
-    batch = simulate_batch(params, np.random.SeedSequence(seed), min(n_paths, 20000))
-    fh = run_filter_batch(batch.delta_R(), params)
-    theta_hat = relative_risk(fh.beta_hat[:, : params.n_steps, :], params)
-    rep = log_optimal_closed_forms(theta_hat, batch.dW, params, cfg.strategy.x0)
+    rep = _value_arbitration(params, seed, min(n_paths, 20000), cfg.strategy.x0)
     arb = {
         "value_mc": rep.value_mc,
         "value_mc_stderr": rep.value_mc_stderr,
@@ -323,19 +308,15 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         "half_minus_mc": rep.value_half - rep.value_mc,
     }
     report["value_function_arbitration"] = arb
-    checks.append(
-        {
-            "name": "value_function_half_form",
-            "passed": bool(abs(rep.value_half - rep.value_mc) <= 3.0 * rep.value_mc_stderr + 1e-12),
-            "detail": f"half-form gap {rep.value_half - rep.value_mc:.3g} vs stderr {rep.value_mc_stderr:.3g}",
-        }
-    )
+    checks.append(_check(
+        "value_function_half_form",
+        abs(rep.value_half - rep.value_mc) <= 3.0 * rep.value_mc_stderr + 1e-12,
+        f"half-form gap {rep.value_half - rep.value_mc:.3g} vs stderr {rep.value_mc_stderr:.3g}",
+    ))
 
     path = out / "duality.json"
     _write_json(path, report)
-    artifacts = [str(path), str(_manifest(cfg, out, n_paths, seed))]
-    status = 0 if all(c["passed"] for c in checks) else 1
-    return ExperimentResult(status=status, artifacts=artifacts, checks=checks)
+    return ExperimentResult([str(path), str(_manifest(cfg, out, n_paths, seed))], checks)
 
 
 def _run_cost_sweep(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -366,15 +347,8 @@ def _run_cost_sweep(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> 
         ref = prods[0]
         if any(abs(p - ref) > 1e-12 * abs(ref) for p in prods):
             ok = False
-    checks = [
-        {
-            "name": "cost_inverse_dt_scaling",
-            "passed": bool(ok),
-            "detail": "c_tilde * delta_t constant across the sweep",
-        }
-    ]
-    artifacts = [str(path), str(_manifest(cfg, out, n_paths, seed))]
-    return ExperimentResult(status=0 if ok else 1, artifacts=artifacts, checks=checks)
+    checks = [_check("cost_inverse_dt_scaling", ok, "c_tilde * delta_t constant across the sweep")]
+    return ExperimentResult([str(path), str(_manifest(cfg, out, n_paths, seed))], checks)
 
 
 def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -420,17 +394,14 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
     _write_json(summary_path, diffs)
 
     checks = [
-        {
-            "name": f"dominance:{row.policy}",
-            "passed": bool(not row.degenerate and row.diff_vs_base <= 2.0 * row.diff_stderr),
-            "detail": ("degenerate: " if row.degenerate else "")
-            + f"gap vs base {row.diff_vs_base:.3g} (se {row.diff_stderr:.3g})",
-        }
+        _check(f"dominance:{row.policy}",
+               not row.degenerate and row.diff_vs_base <= 2.0 * row.diff_stderr,
+               ("degenerate: " if row.degenerate else "")
+               + f"gap vs base {row.diff_vs_base:.3g} (se {row.diff_stderr:.3g})")
         for row in rows[1:]
     ]
     artifacts = [str(path), str(summary_path), str(_manifest(cfg, out, n_paths, seed))]
-    status = 0 if all(c["passed"] for c in checks) else 1
-    return ExperimentResult(status=status, artifacts=artifacts, checks=checks)
+    return ExperimentResult(artifacts, checks)
 
 
 _RUNNERS = {

@@ -13,6 +13,11 @@ import numpy as np
 from .errors import ModelError, NotPositiveDefiniteError
 
 
+#: Largest d: scalars promote to dense (d, d) matrices, so memory grows with
+#: d**2; at 256 the four matrices take 2 MB, and a larger d fails before any.
+MAX_ASSETS = 256
+
+
 def cholesky_pd(mat: np.ndarray, name: str) -> np.ndarray:
     """Cholesky factor of a symmetric positive definite matrix.
 
@@ -29,6 +34,13 @@ def cholesky_pd(mat: np.ndarray, name: str) -> np.ndarray:
                 raise NotPositiveDefiniteError(name, k) from None
         # Cholesky failed but every minor looked positive: borderline case.
         raise NotPositiveDefiniteError(name, mat.shape[0]) from None
+
+
+def _as_scalar(value, name: str) -> float:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 0:
+        raise ModelError(f"{name} must be a scalar, got shape {arr.shape}")
+    return float(arr)
 
 
 def _as_matrix(value, d: int, name: str) -> np.ndarray:
@@ -98,8 +110,14 @@ class MarketParams:
         d = int(self.d)
         if d < 1:
             raise ModelError("d must be a positive integer")
+        if d > MAX_ASSETS:
+            raise ModelError(f"d = {d} exceeds the limit of {MAX_ASSETS} assets")
         if int(self.n_steps) < 1:
             raise ModelError("n_steps must be a positive integer")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n_steps", int(self.n_steps))
+        for name in ("delta_t", "m", "r", "t0", "pos_floor"):
+            object.__setattr__(self, name, _as_scalar(getattr(self, name), name))
         if not (self.delta_t > 0 and np.isfinite(self.delta_t)):
             raise ModelError("delta_t must be positive")
         if not (0.0 <= self.m <= 1.0):
@@ -108,13 +126,6 @@ class MarketParams:
             raise ModelError("r must be finite")
         if not (0 < self.pos_floor < 1):
             raise ModelError("pos_floor must lie in (0, 1)")
-
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "delta_t", float(self.delta_t))
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "t0", float(self.t0))
 
         for name in ("sigma", "rho", "alpha", "varsigma"):
             object.__setattr__(self, name, _as_matrix(getattr(self, name), d, name))

@@ -327,10 +327,12 @@ class LogOptimalReport:
     value_mc is the sample mean of log xi_T; value_half uses the quadratic
     compensation 1/2 theta_hat* rho theta_hat inside the time sum, and
     value_flat drops the 1/2.  The two formulas differ by half the
-    accumulated quadratic form; the Monte Carlo estimate arbitrates.
+    accumulated quadratic form; the Monte Carlo estimate arbitrates.  Only
+    the terminal wealth comes back: the arbitration reads nothing else, and
+    a full (..., N + 1) wealth path would be one more path-sized array.
     """
 
-    xi: np.ndarray               # (..., N + 1) wealth path(s)
+    xi_T: np.ndarray             # (...) terminal wealth
     value_mc: float
     value_mc_stderr: float
     value_half: float
@@ -349,8 +351,9 @@ def log_optimal_closed_forms(
 ) -> LogOptimalReport:
     """Evaluate xi = x0 exp{ sum [(1-m) r + 1/2 th* rho th] dt + sum th* dW }.
 
-    theta_hat and dW have shape (..., N, d); per-path wealth trajectories
-    come back with the value-function statistics.
+    theta_hat and dW have shape (..., N, d); the terminal wealth xi_T comes
+    back with the value-function statistics.  The log-wealth increments are
+    built and summed in place in the quadratic-form array, after its sum.
     """
     if x0 <= 0:
         raise ModelError("initial wealth must be positive")
@@ -359,25 +362,23 @@ def log_optimal_closed_forms(
     dt = params.delta_t
     rate = (1.0 - params.m) * params.r
 
-    a = np.einsum("...i,...i->...", theta_hat, dW)
-    q = np.einsum("...i,ij,...j->...", theta_hat, params.rho, theta_hat) * dt
+    q = np.einsum("...i,ij,...j->...", theta_hat, params.rho, theta_hat)
+    q *= dt
+    interest = rate * dt * q.shape[-1]
+    q_sum = float(q.reshape(-1, q.shape[-1]).sum(axis=-1).mean())
 
-    increments = rate * dt + 0.5 * q + a
-    log_xi = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
-    np.cumsum(increments, axis=-1, out=log_xi[..., 1:])
-    xi = x0 * np.exp(log_xi)
+    q *= 0.5                     # q becomes rate dt + 1/2 q + th* dW, then its running sum
+    q += rate * dt
+    q += np.einsum("...i,...i->...", theta_hat, dW)
+    np.cumsum(q, axis=-1, out=q)
 
-    log_xi_T = np.log(x0) + log_xi[..., -1]
-    samples = np.atleast_1d(log_xi_T).ravel()
+    samples = np.atleast_1d(np.log(x0) + q[..., -1]).ravel()
     n = samples.size
     value_mc = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
-    interest = rate * dt * q.shape[-1]
-    q_sum = float(q.reshape(-1, q.shape[-1]).sum(axis=-1).mean())
-
     return LogOptimalReport(
-        xi=xi,
+        xi_T=x0 * np.exp(q[..., -1]),
         value_mc=value_mc,
         value_mc_stderr=se,
         value_half=float(np.log(x0) + interest + 0.5 * q_sum),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,25 @@ def p2():
 def mc_stderr(samples):
     samples = np.asarray(samples, dtype=float)
     return samples.std(ddof=1) / np.sqrt(samples.size)
+
+
+def traced_peaks(run, p, n_paths=4096):
+    """Peak traced memory of run(n, mark) at n = n_paths, in units of one
+    (n_paths, N + 1, d) float array: one peak per mark() call, the last
+    for the rest of the run.  A first pass at 8 paths warms up lazy imports
+    and caches."""
+    unit = n_paths * (p.n_steps + 1) * p.d * 8
+    for n in (8, n_paths):
+        peaks = []
+
+        def mark():
+            peaks.append(tracemalloc.get_traced_memory()[1] / unit)
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            run(n, mark)
+            mark()
+        finally:
+            tracemalloc.stop()
+    return peaks

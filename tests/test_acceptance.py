@@ -199,7 +199,7 @@ def test_c05_backtest_tracks_closed_form_wealth():
         dW = np.sqrt(dt) * z
         batch = build_batch(p, dW, np.zeros((n_paths, n, 1)))
         x_T = run_backtest(batch, LogOptimalStrategy(mode="zero_cost"), p, 1.0).terminal()
-        xi_T = log_optimal_closed_forms(np.full((n_paths, n, 1), 0.4), dW, p, 1.0).xi[:, -1]
+        xi_T = log_optimal_closed_forms(np.full((n_paths, n, 1), 0.4), dW, p, 1.0).xi_T
         gaps.append(np.max(np.abs(x_T - xi_T) / xi_T))
 
     ratio = gaps[1] / gaps[0]

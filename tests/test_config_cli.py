@@ -231,6 +231,23 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--paths", "0"]) == 2
 
 
+def test_oversized_d_fails_fast_naming_d_and_the_limit(tmp_path, capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"d = 20000 exceeds the limit of 256"):
+            config_from_dict({"market": {"d": 20000}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text("market:\n  d: 257\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "limit of 256" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("mc", "n_paths", "abc"),
     ("mc", "n_paths", 1.5),

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from conftest import traced_peaks
 from futopt import config_from_dict, run_experiment
+from futopt.experiments import _value_arbitration
 
 
 def _cfg(experiment, market=None, mc=None, **extra):
@@ -98,6 +100,17 @@ def test_duality_report_schema(tmp_path):
     arb = report["value_function_arbitration"]
     assert arb["value_without_half"] > arb["value_with_half"]
     assert abs(arb["half_minus_mc"]) <= 3.0 * arb["value_mc_stderr"] + 1e-12
+
+
+@pytest.mark.parametrize("market", ["p1", "p2"])
+def test_value_arbitration_memory_budget(market, request):
+    # In units of one (n_paths, N + 1, d) float array: the batch (5) plus
+    # the returns taken from it.  Every later stage runs on fewer arrays,
+    # since each is dropped once nothing reads it; keeping the batch, the
+    # filter history and the whole wealth path alive needs 10-13.
+    p = request.getfixturevalue(market).with_updates(n_steps=64)
+    (peak,) = traced_peaks(lambda n, mark: _value_arbitration(p, 5, n, 1.0), p)
+    assert peak <= 7, peak
 
 
 def test_cost_sweep_rows_and_scaling(tmp_path):

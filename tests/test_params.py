@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futopt import MarketParams, ModelError, NotPositiveDefiniteError
-from futopt.params import cholesky_pd
+from futopt.params import MAX_ASSETS, cholesky_pd
 
 
 def test_scalar_promotion_shapes():
@@ -54,6 +56,16 @@ def test_positivity_validation(field, value, msg):
                   m=0.0, r=0.0, k=1.0, F0=1.0, beta0=0.0)
     kwargs[field] = value
     with pytest.raises(ModelError, match=msg):
+        MarketParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["delta_t", "m", "r"])
+def test_vector_scalar_field_named(field):
+    kwargs = dict(d=2, n_steps=1, delta_t=0.1, sigma=0.2, rho=1.0,
+                  alpha=0.0, varsigma=0.0, f=1.0, c_spread=0.0,
+                  m=0.0, r=0.0, k=1.0, F0=1.0, beta0=0.0)
+    kwargs[field] = [0.1, 0.2]
+    with pytest.raises(ModelError, match=rf"{field} must be a scalar, got shape \(2,\)"):
         MarketParams(**kwargs)
 
 
@@ -122,3 +134,62 @@ def test_non_finite_scalar_matrix_raises_without_warning(d, value):
             MarketParams(d=d, n_steps=1, delta_t=0.1, sigma=value, rho=1.0,
                          alpha=0.0, varsigma=0.0, f=1.0, c_spread=0.0,
                          m=0.0, r=0.0, k=1.0, F0=1.0, beta0=0.0)
+
+
+_VALUES = st.one_of(st.floats(), st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0]))
+_VALID = {   # a valid draw for each field, scalar or vector
+    "sigma": st.floats(0.0, 2.0), "rho": st.just(1.0), "alpha": st.floats(-2.0, 0.0),
+    "varsigma": st.floats(0.0, 1.0), "f": st.floats(0.01, 1e3), "c_spread": st.floats(0.0, 1.0),
+    "k": st.floats(0.1, 10.0), "F0": st.floats(0.01, 1e3), "beta0": st.floats(-1.0, 1.0),
+    "delta_t": st.floats(1e-4, 1.0), "m": st.floats(0.0, 1.0), "r": st.floats(-0.1, 0.1),
+}
+_MATRICES = ("sigma", "rho", "alpha", "varsigma")
+
+
+@st.composite
+def _market_kwargs(draw):
+    """MarketParams arguments with d across the limit.  Up to three fields
+    are drawn from NaN, +-inf, negative or any float, as a scalar, a vector,
+    or (matrix fields) a diagonal or equicorrelation matrix; the rest are
+    valid, so draws reach every check."""
+    d = draw(st.integers(1, 300))
+    bad = draw(st.sets(st.sampled_from(sorted(_VALID) + ["n_steps"]), max_size=3))
+
+    def vector(values):
+        return np.resize(np.array(draw(st.lists(values, min_size=1, max_size=3))), d)
+
+    def field(name):
+        values = _VALUES if name in bad else _VALID[name]
+        kinds = ["scalar"]
+        if name in bad or name not in ("rho", "delta_t", "m", "r"):
+            kinds.append("diag" if name in _MATRICES else "vector")
+        if name in bad and name in _MATRICES:
+            kinds += ["vector", "equicorr"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scalar":
+            return draw(values)
+        if kind == "diag":
+            return np.diag(vector(values))
+        if kind == "equicorr":
+            mat = np.full((d, d), draw(values))
+            np.fill_diagonal(mat, 1.0)
+            return mat
+        return vector(values)
+
+    kwargs = {name: field(name) for name in _VALID}
+    kwargs["d"] = d
+    kwargs["n_steps"] = draw(st.integers(-2, 0) if "n_steps" in bad else st.integers(1, 300))
+    return kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_market_kwargs())
+def test_random_market_params_raise_only_named_errors(kwargs):
+    try:
+        MarketParams(**kwargs)
+    except Exception as exc:
+        assert type(exc).__module__ == "futopt.errors", repr(exc)
+        if kwargs["d"] > MAX_ASSETS:
+            assert f"limit of {MAX_ASSETS}" in str(exc)
+    else:
+        assert kwargs["d"] <= MAX_ASSETS

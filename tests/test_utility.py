@@ -20,6 +20,9 @@ from futopt import (
     optimal_terminal_wealth,
     optimality_probe,
     power_utility,
+    relative_risk,
+    run_filter_batch,
+    simulate_batch,
     validate_utility,
 )
 
@@ -242,9 +245,47 @@ def test_closed_forms_flat_market():
     theta = np.zeros((8, 16, 1))
     dW = np.sqrt(p.delta_t) * np.random.default_rng(0).standard_normal((8, 16, 1))
     rep = log_optimal_closed_forms(theta, dW, p, x0=7.0)
-    assert np.all(rep.xi == 7.0)
+    assert np.all(rep.xi_T == 7.0)
     assert rep.value_mc == pytest.approx(np.log(7.0), abs=1e-15)
     assert rep.value_half == rep.value_flat == pytest.approx(np.log(7.0))
+
+
+def _closed_forms_whole_array(theta_hat, dW, p, x0):
+    """The closed forms as a whole-array pass: the full wealth path xi, then
+    (xi, value_mc, value_mc_stderr, value_half, value_flat)."""
+    rate = (1.0 - p.m) * p.r
+    a = np.einsum("...i,...i->...", theta_hat, dW)
+    q = np.einsum("...i,ij,...j->...", theta_hat, p.rho, theta_hat) * p.delta_t
+    increments = rate * p.delta_t + 0.5 * q + a
+    log_xi = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    np.cumsum(increments, axis=-1, out=log_xi[..., 1:])
+    xi = x0 * np.exp(log_xi)
+    samples = np.atleast_1d(np.log(x0) + log_xi[..., -1]).ravel()
+    se = float(samples.std(ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
+    interest = rate * p.delta_t * q.shape[-1]
+    q_sum = float(q.reshape(-1, q.shape[-1]).sum(axis=-1).mean())
+    return (xi, float(samples.mean()), se,
+            float(np.log(x0) + interest + 0.5 * q_sum), float(np.log(x0) + interest + q_sum))
+
+
+@pytest.mark.parametrize("layout", ["step_major", "contiguous"])
+@pytest.mark.parametrize("n_paths", [1, 64])
+@pytest.mark.parametrize("market", ["p1", "p2"])
+def test_closed_forms_bit_equal_to_whole_array_pass(market, n_paths, layout, request):
+    # theta_hat as duality-report builds it; dW either as the batch stores
+    # it (a transposed view of step-major memory) or C-contiguous.
+    p = request.getfixturevalue(market).with_updates(m=0.2, r=0.03)
+    batch = simulate_batch(p, 3, n_paths)
+    theta = relative_risk(run_filter_batch(batch.delta_R(), p).beta_hat[:, : p.n_steps], p)
+    dW = batch.dW if layout == "step_major" else np.ascontiguousarray(batch.dW)
+
+    rep = log_optimal_closed_forms(theta, dW, p, x0=7.0)
+    xi, value_mc, se, value_half, value_flat = _closed_forms_whole_array(theta, dW, p, 7.0)
+    assert rep.value_mc == value_mc
+    assert rep.value_mc_stderr == se
+    assert rep.value_half == value_half
+    assert rep.value_flat == value_flat
+    assert np.array_equal(rep.xi_T, xi[..., -1])
 
 
 def test_value_forms_differ_by_half_quadratic():
@@ -263,8 +304,7 @@ def test_value_forms_differ_by_half_quadratic():
     # Monte Carlo arbitrates in favour of the compensated form
     assert abs(rep.value_mc - rep.value_half) <= 3.0 * rep.value_mc_stderr
     assert rep.flat_minus_mc == pytest.approx(0.08, abs=3.0 * rep.value_mc_stderr)
-    assert rep.xi.shape == (n_paths, 253)
-    assert np.all(rep.xi[:, 0] == 1.0)
+    assert rep.xi_T.shape == (n_paths,)
 
 
 def test_probe_self_comparison_is_null():

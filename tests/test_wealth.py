@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peaks
 from futopt import (
     ConstantWeightStrategy,
     LogOptimalStrategy,
@@ -277,24 +278,16 @@ def test_step_major_memory_budget():
     # allocates little beyond them, and a backtest adds the filter's input
     # and output (three units).  A whole-array path-major build, or a
     # backtest that copies F and the returns step-major, needs about 10.
-    import tracemalloc
-
     p = _params(varsigma=0.1, alpha=-0.5, c_spread=0.001, m=0.1, r=0.02, n_steps=64)
-    n_paths = 4096
-    unit = n_paths * (p.n_steps + 1) * p.d * 8
-    for n in (8, n_paths):   # the first pass warms up lazy imports and caches
-        tracemalloc.start()
-        try:
-            batch = simulate_batch(p, 5, n)
-            sim_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
-            run_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        del batch
-    assert sim_peak <= 6 * unit, sim_peak / unit
-    assert run_peak <= 9 * unit, run_peak / unit
+
+    def run(n, mark):
+        batch = simulate_batch(p, 5, n)
+        mark()
+        run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
+
+    sim_peak, run_peak = traced_peaks(run, p)
+    assert sim_peak <= 6, sim_peak
+    assert run_peak <= 9, run_peak
 
 
 def _density_oracle(batch, p, theta_max, monkeypatch):
