@@ -18,7 +18,7 @@ from futopt.params import MarketParams
 
 def terminal_mean(params, batch, mode, x0):
     ledger = run_backtest(batch, LogOptimalStrategy(mode=mode), params, x0)
-    x_T = ledger.terminal()
+    x_T = ledger.X_T
     return float(np.mean(np.log(np.maximum(x_T, 1e-300)))), float(x_T.mean())
 
 

@@ -61,7 +61,6 @@ from .trading import (
 from .utility import (
     BigXEstimate,
     LogOptimalReport,
-    ProbeRow,
     UtilitySpec,
     big_X,
     conjugate,
@@ -71,7 +70,6 @@ from .utility import (
     log_optimal_closed_forms,
     log_utility,
     optimal_terminal_wealth,
-    optimality_probe,
     power_utility,
     validate_utility,
 )

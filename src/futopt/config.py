@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
-from .params import MarketParams
+from .errors import ConfigError, ModelError
+from .params import MarketParams, _as_matrix, _as_vector
 from .strategies import (
     ConstantWeightStrategy,
     LogOptimalStrategy,
@@ -273,6 +273,13 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         raise ConfigError("strategy.x0 must be nonnegative")
     if strategy.theta_max <= 0:
         raise ConfigError("strategy.theta_max must be positive")
+    for key, as_shape in (("p_cov0", _as_matrix), ("caps", _as_vector), ("gearing", _as_vector),
+                          ("const_weights", _as_vector)):
+        if getattr(strategy, key) is not None:   # a scalar, or (d, d) / (d,); the value stays as given
+            try:
+                as_shape(getattr(strategy, key), market.d, f"strategy.{key}")
+            except ModelError as exc:
+                raise ConfigError(str(exc)) from None
     outputs = _build_dataclass(OutputConfig, _section(tree, "outputs"), "outputs")
     sweep = _build_dataclass(CostSweepConfig, _section(tree, "cost_sweep"), "cost_sweep")
     if any(dt <= 0 for dt in sweep.delta_ts):

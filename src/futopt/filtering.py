@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ModelError, SingularModelError
 from .market import PathBatch
-from .params import MarketParams
+from .params import MarketParams, _as_matrix
 
 __all__ = [
     "FilterHistory",
@@ -114,13 +114,14 @@ def run_filter_batch(
 
     The gain schedule does not depend on the observations, so the error
     covariance is computed once and shared across the path axis.  Rows
-    delta_R[:, i] are read in place, contiguous if delta_R is step-major.
+    delta_R[:, i] are read in place, contiguous if delta_R is step-major.  A
+    scalar p_cov0 means p_cov0 * I.
     """
     delta_R = np.asarray(delta_R, dtype=float)
     n_paths, n, d = delta_R.shape
     mats = _FilterMats(params)
 
-    p = default_p_cov0(params) if p_cov0 is None else np.asarray(p_cov0, dtype=float)
+    p = default_p_cov0(params) if p_cov0 is None else _as_matrix(p_cov0, d, "p_cov0")
     b0 = params.beta0 if beta_hat0 is None else np.asarray(beta_hat0, dtype=float)
 
     dR_steps = delta_R.transpose(1, 0, 2)
@@ -158,12 +159,6 @@ class DiagnosticsReport:
             writer.writerow(["metric", "component", "value", "stderr"])
             for metric, comp, value, stderr in self.rows:
                 writer.writerow([metric, comp, repr(float(value)), repr(float(stderr))])
-
-    def value(self, metric: str, component: str) -> float:
-        for m, c, v, _ in self.rows:
-            if m == metric and c == component:
-                return v
-        raise KeyError((metric, component))
 
 
 def neutrality_diagnostics(

@@ -116,14 +116,17 @@ class MarketParams:
             raise ModelError("n_steps must be a positive integer")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        for name in ("delta_t", "m", "r", "t0", "pos_floor"):
+        for name in ("delta_t", "m", "r", "t0", "pos_floor", "guard_warn_fraction"):
             object.__setattr__(self, name, _as_scalar(getattr(self, name), name))
         if not (self.delta_t > 0 and np.isfinite(self.delta_t)):
             raise ModelError("delta_t must be positive")
         if not (0.0 <= self.m <= 1.0):
             raise ModelError("m must lie in [0,1]")
-        if not np.isfinite(self.r):
-            raise ModelError("r must be finite")
+        for name in ("r", "t0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ModelError(f"{name} must be finite")
+        if not (0.0 <= self.guard_warn_fraction <= 1.0):
+            raise ModelError("guard_warn_fraction must lie in [0, 1]")
         if not (0 < self.pos_floor < 1):
             raise ModelError("pos_floor must lie in (0, 1)")
 

@@ -162,7 +162,6 @@ class PositionBook:
     c_tilde: np.ndarray      # (n_paths, N, d) relative cost, NaN where flagged
     cash_cost: np.ndarray    # (n_paths, N, d) cash slippage paid
     clipped: np.ndarray      # (n_paths, N, d) bool
-    cap: np.ndarray | None = None
 
 
 def write_position_ledger(path, book: PositionBook, F: np.ndarray, t_grid: np.ndarray) -> None:

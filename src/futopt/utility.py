@@ -39,8 +39,6 @@ __all__ = [
     "optimal_terminal_wealth",
     "LogOptimalReport",
     "log_optimal_closed_forms",
-    "ProbeRow",
-    "optimality_probe",
 ]
 
 
@@ -384,86 +382,3 @@ def log_optimal_closed_forms(
         value_half=float(np.log(x0) + interest + 0.5 * q_sum),
         value_flat=float(np.log(x0) + interest + q_sum),
     )
-
-
-# -- policy optimality probe ------------------------------------------------
-
-
-@dataclass
-class ProbeRow:
-    """Expected utility of one policy, with the paired gap to the base."""
-
-    policy: str
-    n_paths: int
-    mean_utility: float
-    stderr: float
-    diff_vs_base: float = 0.0
-    diff_stderr: float = 0.0
-
-    @property
-    def base_dominates(self) -> bool:
-        return self.diff_vs_base < -2.0 * self.diff_stderr
-
-    @property
-    def degenerate(self) -> bool:  # every paired difference is 0: the policy ties the base
-        return self.diff_vs_base == 0.0 and self.diff_stderr == 0.0
-
-
-def optimality_probe(
-    params: MarketParams,
-    x0: float,
-    base_factory: Callable,
-    perturbation_factories: dict[str, Callable],
-    n_paths: int,
-    seed: int = 0,
-    u: UtilitySpec | None = None,
-    chunk_size: int = 8192,
-    workers: int | None = None,
-) -> list[ProbeRow]:
-    """Compare E[U(X_T)] of a base policy against perturbed variants.
-
-    Every policy is backtested on the same simulated paths (common random
-    numbers), so the dominance gaps come from paired differences, which are
-    far tighter than the individual standard errors.  Policies are supplied
-    as zero-argument factories so each chunk runs a fresh instance.
-    """
-    from .market import simulate_batch
-    from .montecarlo import run_chunked
-    from .wealth import run_backtest
-
-    if u is None:
-        u = log_utility()
-    names = ["base"] + list(perturbation_factories)
-    factories = {"base": base_factory, **perturbation_factories}
-
-    def chunk(seed_seq, n_in_chunk):
-        batch = simulate_batch(params, seed_seq, n_in_chunk)
-        utilities = {}
-        for name in names:
-            ledger = run_backtest(batch, factories[name](), params, x0)
-            x_T = np.maximum(ledger.terminal(), 1e-300)   # dead paths: log -> -inf guard
-            utilities[name] = u.u(x_T)
-        out = {f"u:{name}": utilities[name] for name in names}
-        for name in names[1:]:
-            out[f"diff:{name}"] = utilities["base"] - utilities[name]
-        return out
-
-    stats = run_chunked(n_paths, seed, chunk, chunk_size=chunk_size, workers=workers)
-
-    rows = []
-    base = stats["u:base"]
-    rows.append(ProbeRow("base", base.n, base.mean, base.stderr))
-    for name in names[1:]:
-        m = stats[f"u:{name}"]
-        dd = stats[f"diff:{name}"]
-        rows.append(
-            ProbeRow(
-                policy=name,
-                n_paths=m.n,
-                mean_utility=m.mean,
-                stderr=m.stderr,
-                diff_vs_base=-dd.mean,          # negative when the base wins
-                diff_stderr=dd.stderr,
-            )
-        )
-    return rows

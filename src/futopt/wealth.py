@@ -108,29 +108,27 @@ class WealthLedger:
     H_T: np.ndarray | None = None     # (n_paths,), gamma_N Z_N
     n_capped: int = 0                 # theta rows scaled back onto the cap
 
-    def terminal(self) -> np.ndarray:
-        return self.X_T
-
 
 def run_backtest(
     paths: PathBatch,
     strategy: Strategy,
     params: MarketParams,
     x0: float,
+    beta_hat: np.ndarray | None = None,
     cap: np.ndarray | None = None,
     integer_contracts: bool = False,
-    p_cov0: np.ndarray | None = None,
-    beta_hat0: np.ndarray | None = None,
     theta_max: float | None = None,
 ) -> WealthLedger:
     """Run a policy over simulated or ingested paths.
 
-    The filter (when the volatility matrix is invertible) is advanced in
-    lockstep with the loop: the estimate handed to the strategy at step n
-    has seen returns only up to t_n, and the increment over [t_n, t_{n+1}]
-    is revealed after the weights are committed.  The cash form is the
-    primitive recursion; the relative cost per step is recorded in the
-    ledger for diagnostics and cross-checks.
+    beta_hat is the drift estimate the strategy sees, (n_paths, N + 1, d) as
+    run_filter_batch(paths.delta_R(), params).beta_hat gives it: row n has
+    seen returns only up to t_n, and the increment over [t_n, t_{n+1}] is
+    revealed after the weights are committed.  When it is None and sigma is
+    invertible, the loop filters with the default prior itself.  Policies
+    traded on one batch can share one estimate: the rows of F and beta_hat
+    handed to the strategy are read-only.  The cash form is the primitive
+    recursion; the relative cost per step is recorded for cross-checks.
 
     The ledger keeps the full per-step record (X and the position book) for
     path 0 only, and for every path the terminal wealth X_T, the absorption
@@ -150,12 +148,16 @@ def run_backtest(
     n = n_grid - 1
     t_grid = paths.t_grid
     F_steps = paths.F.transpose(1, 0, 2)
+    F_steps.flags.writeable = False
 
-    if params.sigma_invertible():
-        beta_hat = run_filter_batch(paths.delta_R(), params, p_cov0, beta_hat0).beta_hat
+    if beta_hat is None and params.sigma_invertible():
+        beta_hat = run_filter_batch(paths.delta_R(), params).beta_hat
+    beta_steps = None
+    if beta_hat is not None:
+        if beta_hat.shape != paths.F.shape:
+            raise ModelError(f"beta_hat must have the paths' shape {paths.F.shape}, got {beta_hat.shape}")
         beta_steps = beta_hat.transpose(1, 0, 2)   # the filter's own storage
-    else:
-        beta_steps = None
+        beta_steps.flags.writeable = False
 
     X = np.full(n_paths, float(x0))
     dead = X <= 0
@@ -241,7 +243,6 @@ def run_backtest(
     book = PositionBook(
         C=C_hist[None], pi=pi_hist[None], P=P_hist[None], trade=trade_hist[None],
         c_tilde=ct_hist[None], cash_cost=cash_hist[None], clipped=clip_hist[None],
-        cap=cap,
     )
     H_T = discount_and_density(params, np.ones(n + 1))[0][-1] * Z if density else None
     return WealthLedger(
@@ -322,7 +323,7 @@ def summary_dict(
     Terminal statistics and event counts cover every path of the ledger; the
     budget fields need the terminal state price density H_T of those paths.
     """
-    X_T = ledger.terminal()
+    X_T = ledger.X_T
     n_paths = X_T.shape[0]
     out = {
         "n_paths": int(n_paths),

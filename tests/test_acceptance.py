@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from futopt import (
     LogOptimalStrategy,
     MarketParams,
     RandomBoundedStrategy,
-    ScaledStrategy,
     ZeroStrategy,
     big_X,
     build_batch,
@@ -29,15 +29,16 @@ from futopt import (
     contract_price,
     cost_term,
     exponential_martingale,
+    load_config,
     log_optimal_closed_forms,
     log_utility,
     neutrality_diagnostics,
-    optimality_probe,
     position_from_weights,
     power_utility,
     relative_risk,
     run_backtest,
     run_chunked,
+    run_experiment,
     run_filter_batch,
     simulate_batch,
     step_wealth_cash,
@@ -172,7 +173,7 @@ def test_c04_budget_constraint_across_strategies():
         out = {}
         for name, make in factories.items():
             ledger = run_backtest(batch, make(), p, x0)
-            out[name] = ms.H[:, -1] * ledger.terminal()
+            out[name] = ms.H[:, -1] * ledger.X_T
         return out
 
     stats = run_chunked(100_000, 3, chunk)
@@ -198,7 +199,7 @@ def test_c05_backtest_tracks_closed_form_wealth():
         p = _mk(n_steps=n, delta_t=dt)
         dW = np.sqrt(dt) * z
         batch = build_batch(p, dW, np.zeros((n_paths, n, 1)))
-        x_T = run_backtest(batch, LogOptimalStrategy(mode="zero_cost"), p, 1.0).terminal()
+        x_T = run_backtest(batch, LogOptimalStrategy(mode="zero_cost"), p, 1.0).X_T
         xi_T = log_optimal_closed_forms(np.full((n_paths, n, 1), 0.4), dW, p, 1.0).xi_T
         gaps.append(np.max(np.abs(x_T - xi_T) / xi_T))
 
@@ -304,20 +305,15 @@ def test_c09_duality_battery():
              "; ".join(details) + f"; log budget map exact: {exact}")
 
 
-def test_c10_log_optimal_policy_dominates_scalings():
+def test_c10_log_optimal_policy_dominates_scalings(tmp_path):
     """Paired 1e5-path comparison: mis-scaled variants lose decisively."""
-    p = _mk(n_steps=64)
-    base = lambda: LogOptimalStrategy(mode="zero_cost")
-    rows = optimality_probe(
-        p, 1e6, base,
-        {"scaled_0.5": lambda: ScaledStrategy(base(), 0.5),
-         "scaled_1.5": lambda: ScaledStrategy(base(), 1.5)},
-        n_paths=100_000, seed=9,
-    )
-    by_name = {r.policy: r for r in rows}
-    z = {name: by_name[name].diff_vs_base / by_name[name].diff_stderr
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "known_drift_probe.yaml")
+    assert (cfg.mc.n_paths, cfg.mc.seed) == (100_000, 9)
+    run_experiment(cfg, out_dir=tmp_path)
+    gaps = json.loads((tmp_path / "probe_summary.json").read_text())
+    z = {name: gaps[name]["diff_vs_base"] / gaps[name]["diff_stderr"]
          for name in ("scaled_0.5", "scaled_1.5")}
-    ok = all(by_name[name].base_dominates for name in ("scaled_0.5", "scaled_1.5"))
+    ok = all(gaps[name]["base_dominates"] for name in ("scaled_0.5", "scaled_1.5"))
     _verdict("C10 log-optimal policy dominates scaled variants", ok,
              f"z(0.5x) = {z['scaled_0.5']:+.1f}, z(1.5x) = {z['scaled_1.5']:+.1f}")
 

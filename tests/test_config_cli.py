@@ -22,6 +22,7 @@ from futopt import (
     write_wealth_csv,
 )
 from futopt.cli import main
+from futopt.config import StrategyConfig
 
 
 def _tree(**extra):
@@ -118,6 +119,48 @@ def test_mutated_shipped_config_succeeds_or_raises_config_error(field, value):
         config_from_dict(tree)
     except ConfigError:
         pass
+
+
+TINY_BACKTEST = {
+    "experiment": "backtest",
+    "market": {"d": 1, "n_steps": 8, "sigma": 0.2, "alpha": -0.5, "varsigma": 0.1, "f": 50.0,
+               "c_spread": 0.001, "m": 0.2, "r": 0.03, "beta0": 0.08},
+    "mc": {"n_paths": 8, "seed": 1},
+    # backtest trades these constant weights; optimality-probe trades log-optimal ones
+    "strategy": {"x0": 1.0e6, "policy": "constant", "const_weights": 0.5},
+}
+_FIELDS = [("strategy", name) for name in StrategyConfig.__dataclass_fields__] + [
+    ("market", name) for name in MarketParams.__dataclass_fields__]
+_SHAPED = [("strategy", name) for name in ("p_cov0", "caps", "gearing", "const_weights")]   # shape (d,) or (d, d)
+_NUMBERS = st.one_of(st.integers(-3, 300), st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+_LEAVES = st.one_of(st.text(max_size=6), st.booleans(), _NUMBERS)
+_VALUES = st.one_of(   # nested lists of numbers as often as anything else: they reach the shape checks
+    st.recursive(_LEAVES, lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=9),
+    st.recursive(st.integers(-3, 300), lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=9),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_SHAPED) | st.sampled_from(_FIELDS), _VALUES), min_size=1, max_size=2))
+def test_mutated_tiny_run_exits_0_1_or_2_without_a_traceback(mutations):
+    import contextlib
+    import io
+    import tempfile
+
+    tree = copy.deepcopy(TINY_BACKTEST)
+    for (section, key), value in mutations:
+        if key == "n_steps" and type(value) is int:
+            value = min(value, 8)
+        tree[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "mutated.yaml"
+        cfg.write_text(yaml.safe_dump(tree))
+        for experiment in ("backtest", "optimality-probe"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main([experiment, "--config", str(cfg), "--out", str(Path(tmp) / experiment)])
+            assert code in (0, 1, 2)
+            assert code != 1 or "[FAIL]" in stdout.getvalue()
 
 
 def test_build_strategy_dispatch():
@@ -291,6 +334,10 @@ def test_cli_bad_integer_fields_exit_2_naming_the_field(tmp_path, capsys, sectio
     ("strategy", "gearing", "abc"),
     ("strategy", "p_cov0", "abc"),
     ("strategy", "const_weights", [1.0, float("nan")]),
+    ("strategy", "p_cov0", [[1, 2], [3, 4]]),   # d = 1: a scalar or (1, 1) / (1,) only
+    ("strategy", "caps", [1, 2, 3]),
+    ("strategy", "const_weights", [1, 2]),
+    ("strategy", "gearing", [[1.0]]),
     ("strategy", "integer_contracts", 3),
     ("strategy", "literal_product", "yes"),
 ])

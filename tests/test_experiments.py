@@ -175,6 +175,35 @@ def test_optimality_probe_tie_with_base_fails_as_degenerate(tmp_path, monkeypatc
     assert not check["passed"] and check["detail"].startswith("degenerate")
 
 
+def test_optimality_probe_detects_underinvestment_with_known_drift(tmp_path):
+    # Half the optimal weight loses 1/2 (1/2)^2 theta^2 T = 0.0051 of log
+    # utility at theta = 0.4 over 64 days; at 16384 paths the paired stderr
+    # is about 0.0008, so the expected gap is about 6 stderr.
+    cfg = _probe_cfg(0.0)
+    cfg.market = cfg.market.with_updates(n_steps=64)
+    run_experiment(cfg, out_dir=tmp_path, seed=3, n_paths=16384)
+    half = json.loads((tmp_path / "probe_summary.json").read_text())["scaled_0.5"]
+    assert half["diff_vs_base"] < 0
+    assert half["base_dominates"] is True
+
+
+def test_optimality_probe_filters_each_chunk_once(tmp_path, monkeypatch):
+    from futopt import experiments, wealth
+    from futopt.montecarlo import chunk_layout
+
+    calls, real = [], experiments.run_filter_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_filter_batch", counted)
+    monkeypatch.setattr(wealth, "run_filter_batch", counted)
+    cfg = _probe_cfg(0.3)
+    assert run_experiment(cfg, out_dir=tmp_path, n_paths=TWO_CHUNKS["n_paths"]).status == 0
+    assert len(calls) == len(chunk_layout(TWO_CHUNKS["n_paths"])) == 2
+
+
 def test_manifest_contents(tmp_path):
     cfg = _cfg("cost-sweep")
     run_experiment(cfg, out_dir=tmp_path, seed=99, n_paths=5)
@@ -220,6 +249,30 @@ def test_backtest_simulates_and_trades_each_chunk_once(tmp_path, monkeypatch):
     assert run_experiment(_cfg("backtest", mc=TWO_CHUNKS), out_dir=tmp_path).status == 0
     n_chunks = len(chunk_layout(TWO_CHUNKS["n_paths"]))
     assert calls == {"simulate_batch": n_chunks, "run_backtest": n_chunks}
+
+
+def test_backtest_strategy_p_cov0_reaches_the_filter(tmp_path):
+    import numpy as np
+
+    from futopt import build_strategy, run_backtest, run_filter_batch, simulate_batch
+    from futopt.experiments import _strategy_measure
+    from futopt.wealth import write_wealth_csv
+
+    run_experiment(_cfg("backtest"), out_dir=tmp_path / "default")
+    run_experiment(_cfg("backtest", strategy={"p_cov0": 0.5}), out_dir=tmp_path / "scalar")
+    cfg = _cfg("backtest", strategy={"p_cov0": [[0.5]]})
+    run_experiment(cfg, out_dir=tmp_path / "matrix")
+
+    # chunk 0, the whole run here, traded on the estimate from that prior
+    s, p = cfg.strategy, cfg.market
+    batch = simulate_batch(p, np.random.SeedSequence(cfg.mc.seed).spawn(1)[0], cfg.mc.n_paths)
+    beta_hat = run_filter_batch(batch.delta_R(), p, np.array([[0.5]])).beta_hat
+    ledger = run_backtest(batch, build_strategy(cfg), p, s.x0, beta_hat=beta_hat, theta_max=s.theta_max)
+    write_wealth_csv(tmp_path / "oracle.csv", ledger, _strategy_measure(batch, ledger, p, s.theta_max))
+
+    got = (tmp_path / "matrix" / "ledger_0000.csv").read_bytes()
+    assert got != (tmp_path / "default" / "ledger_0000.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes() == (tmp_path / "scalar" / "ledger_0000.csv").read_bytes()
 
 
 def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):

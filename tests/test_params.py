@@ -142,7 +142,9 @@ _VALID = {   # a valid draw for each field, scalar or vector
     "varsigma": st.floats(0.0, 1.0), "f": st.floats(0.01, 1e3), "c_spread": st.floats(0.0, 1.0),
     "k": st.floats(0.1, 10.0), "F0": st.floats(0.01, 1e3), "beta0": st.floats(-1.0, 1.0),
     "delta_t": st.floats(1e-4, 1.0), "m": st.floats(0.0, 1.0), "r": st.floats(-0.1, 0.1),
+    "t0": st.floats(-10.0, 10.0), "guard_warn_fraction": st.floats(0.0, 1.0),
 }
+_SCALARS = ("rho", "delta_t", "m", "r", "t0", "guard_warn_fraction")   # valid draws are scalars
 _MATRICES = ("sigma", "rho", "alpha", "varsigma")
 
 
@@ -161,7 +163,7 @@ def _market_kwargs(draw):
     def field(name):
         values = _VALUES if name in bad else _VALID[name]
         kinds = ["scalar"]
-        if name in bad or name not in ("rho", "delta_t", "m", "r"):
+        if name in bad or name not in _SCALARS:
             kinds.append("diag" if name in _MATRICES else "vector")
         if name in bad and name in _MATRICES:
             kinds += ["vector", "equicorr"]
@@ -186,10 +188,11 @@ def _market_kwargs(draw):
 @given(_market_kwargs())
 def test_random_market_params_raise_only_named_errors(kwargs):
     try:
-        MarketParams(**kwargs)
+        p = MarketParams(**kwargs)
     except Exception as exc:
         assert type(exc).__module__ == "futopt.errors", repr(exc)
         if kwargs["d"] > MAX_ASSETS:
             assert f"limit of {MAX_ASSETS}" in str(exc)
     else:
         assert kwargs["d"] <= MAX_ASSETS
+        assert np.isfinite(p.t0) and 0.0 <= p.guard_warn_fraction <= 1.0

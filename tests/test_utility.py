@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futopt import (
-    LogOptimalStrategy,
     MarketParams,
     ModelError,
-    ScaledStrategy,
     big_X,
     conjugate,
     conjugate_grid_sup,
@@ -18,7 +16,6 @@ from futopt import (
     log_optimal_closed_forms,
     log_utility,
     optimal_terminal_wealth,
-    optimality_probe,
     power_utility,
     relative_risk,
     run_filter_batch,
@@ -305,39 +302,6 @@ def test_value_forms_differ_by_half_quadratic():
     assert abs(rep.value_mc - rep.value_half) <= 3.0 * rep.value_mc_stderr
     assert rep.flat_minus_mc == pytest.approx(0.08, abs=3.0 * rep.value_mc_stderr)
     assert rep.xi_T.shape == (n_paths,)
-
-
-def test_probe_self_comparison_is_null():
-    p = MarketParams(d=1, n_steps=16, delta_t=1.0 / 252, sigma=0.2, rho=1.0,
-                     alpha=-0.5, varsigma=0.1, f=50.0, c_spread=0.0, m=0.0,
-                     r=0.0, k=1.0, F0=100.0, beta0=0.08)
-    rows = optimality_probe(
-        p, 1e6,
-        base_factory=lambda: LogOptimalStrategy(),
-        perturbation_factories={"clone": lambda: LogOptimalStrategy()},
-        n_paths=256, seed=0,
-    )
-    assert rows[0].policy == "base"
-    assert rows[1].diff_vs_base == 0.0
-    assert rows[1].diff_stderr == 0.0
-    assert not rows[1].base_dominates
-
-
-def test_probe_detects_underinvestment_with_known_drift():
-    p = MarketParams(d=1, n_steps=64, delta_t=1.0 / 252, sigma=0.2, rho=1.0,
-                     alpha=0.0, varsigma=0.0, f=50.0, c_spread=0.0, m=0.0,
-                     r=0.0, k=1.0, F0=100.0, beta0=0.08)
-    rows = optimality_probe(
-        p, 1e6,
-        base_factory=lambda: LogOptimalStrategy(mode="zero_cost"),
-        perturbation_factories={
-            "quarter": lambda: ScaledStrategy(LogOptimalStrategy(mode="zero_cost"), 0.25),
-        },
-        n_paths=4096, seed=3,
-    )
-    quarter = rows[1]
-    assert quarter.diff_vs_base < 0
-    assert quarter.base_dominates
 
 
 def test_probe_errors():

@@ -163,7 +163,7 @@ def test_more_slippage_never_helps_on_fixed_path():
     for c in (0.0, 0.2, 1.0):
         p = base.with_updates(c_spread=c)
         ledger = run_backtest(path, ConstantWeightStrategy([0.9]), p, x0=1e6)
-        terminals.append(ledger.terminal()[0])
+        terminals.append(ledger.X_T[0])
     assert terminals[0] >= terminals[1] >= terminals[2]
 
 
@@ -322,6 +322,44 @@ def test_in_loop_density_matches_measure_oracle(p, monkeypatch):
     assert uncapped.n_capped == ms_inf.n_capped == 0
     assert _same(uncapped.H_T, ms_inf.H[:, -1], p.d == 1)
     assert run_backtest(batch, LogOptimalStrategy(), p, x0=1e6).H_T is None
+
+
+@pytest.mark.parametrize("p", [_one_asset_costly(), TWO_ASSET], ids=["d1", "d2"])
+def test_given_estimate_matches_the_loops_own_filter(p):
+    batch = simulate_batch(p, 7, 32)
+    own = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
+    beta_hat = run_filter_batch(batch.delta_R(), p).beta_hat
+    given = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat, theta_max=10.0)
+    for name in ("X", "X_T", "dead", "H_T"):
+        assert np.array_equal(getattr(own, name), getattr(given, name)), name
+    for name in ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped"):
+        assert np.array_equal(getattr(own.book, name), getattr(given.book, name), equal_nan=True), name
+    assert own.events == given.events and own.n_capped == given.n_capped
+    with pytest.raises(ModelError, match="beta_hat must have"):
+        run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat[:, 1:])
+
+
+class _Overwriting(LogOptimalStrategy):
+    """Writes into the row it was handed: one shared estimate, so it must fail."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def weights(self, obs):
+        getattr(obs, self.field)[:] = 0.0
+        return super().weights(obs)
+
+
+@pytest.mark.parametrize("field", ["beta_hat", "F"])
+def test_strategy_cannot_write_into_shared_rows(field):
+    p = _one_asset_costly()
+    batch = simulate_batch(p, 7, 4)
+    beta_hat = run_filter_batch(batch.delta_R(), p).beta_hat
+    before = beta_hat.copy(), batch.F.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        run_backtest(batch, _Overwriting(field), p, x0=1e6, beta_hat=beta_hat)
+    assert np.array_equal(beta_hat, before[0]) and np.array_equal(batch.F, before[1])
 
 
 def test_in_loop_density_overflow_names_path_and_step():
