@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from futopt import (
     MarketParams,
     ModelError,
     big_X,
+    config_from_dict,
     conjugate,
     conjugate_grid_sup,
     double_conjugate_grid,
@@ -18,6 +21,7 @@ from futopt import (
     optimal_terminal_wealth,
     power_utility,
     relative_risk,
+    run_experiment,
     run_filter_batch,
     simulate_batch,
     validate_utility,
@@ -302,6 +306,32 @@ def test_value_forms_differ_by_half_quadratic():
     assert abs(rep.value_mc - rep.value_half) <= 3.0 * rep.value_mc_stderr
     assert rep.flat_minus_mc == pytest.approx(0.08, abs=3.0 * rep.value_mc_stderr)
     assert rep.xi_T.shape == (n_paths,)
+
+
+def test_probe_self_comparison_is_null(tmp_path, monkeypatch):
+    import futopt.experiments as experiments
+
+    # every perturbation is a clone of the base: each paired difference is exactly 0
+    monkeypatch.setattr(experiments, "ScaledStrategy", lambda strategy, scale: strategy)
+    monkeypatch.setattr(experiments, "LaggedEstimateStrategy", lambda strategy, lag: strategy)
+    cfg = config_from_dict({
+        "experiment": "optimality-probe",
+        "market": {"d": 1, "n_steps": 16, "sigma": 0.2, "beta0": 0.08,
+                   "alpha": -0.5, "varsigma": 0.1, "f": 50.0,
+                   "c_spread": 0.0, "m": 0.0, "r": 0.0},
+        "mc": {"n_paths": 256, "seed": 0},
+    })
+    run_experiment(cfg, out_dir=tmp_path)
+    with open(tmp_path / "optimality_probe.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][0] == "base"
+    assert all(row[2:] == rows[1][2:] for row in rows[2:])
+    summary = json.loads((tmp_path / "probe_summary.json").read_text())
+    assert set(summary) == {"scaled_0.5", "scaled_1.5", "lagged_5"}
+    for clone in summary.values():
+        assert clone["diff_vs_base"] == 0.0
+        assert clone["diff_stderr"] == 0.0
+        assert not clone["base_dominates"]
 
 
 def test_probe_errors():
