@@ -10,19 +10,10 @@ __version__ = "0.1.0"
 from .config import ScenarioConfig, build_strategy, config_from_dict, load_config
 from .errors import ConfigError, ModelError, NotPositiveDefiniteError, SingularModelError
 from .experiments import ExperimentResult, ingest_prices, run_experiment
-from .filtering import (
-    DiagnosticsReport,
-    FilterHistory,
-    default_p_cov0,
-    neutrality_diagnostics,
-    run_filter_batch,
-)
+from .filtering import FilterHistory, default_p_cov0, run_filter_batch
 from .market import (
     PathBatch,
     build_batch,
-    correlated_increments,
-    prices_from_returns,
-    read_path_csv,
     returns_from_prices,
     simulate_batch,
     simulate_drift,
@@ -54,7 +45,6 @@ from .trading import (
     PositionBook,
     contract_price,
     cost_term,
-    log_optimal_weights,
     payoff_transform,
     position_from_weights,
 )

@@ -180,7 +180,7 @@ def _check_array(value, where: str):
     return value
 
 
-_INT_FIELDS = {"n_paths", "seed", "workers", "h_window", "lag"}
+_INT_FIELDS = {"n_paths", "seed", "workers", "h_window"}
 _FLOAT_FIELDS = {"x0", "theta_max", "bound", "P_prev", "P_now"}
 _LIST_FIELDS = {"formats", "delta_ts"}
 _ARRAY_FIELDS = {"p_cov0", "caps", "gearing", "const_weights"}
@@ -273,13 +273,23 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         raise ConfigError("strategy.x0 must be nonnegative")
     if strategy.theta_max <= 0:
         raise ConfigError("strategy.theta_max must be positive")
+    shaped = {}
     for key, as_shape in (("p_cov0", _as_matrix), ("caps", _as_vector), ("gearing", _as_vector),
                           ("const_weights", _as_vector)):
         if getattr(strategy, key) is not None:   # a scalar, or (d, d) / (d,); the value stays as given
             try:
-                as_shape(getattr(strategy, key), market.d, f"strategy.{key}")
+                shaped[key] = as_shape(getattr(strategy, key), market.d, f"strategy.{key}")
             except ModelError as exc:
                 raise ConfigError(str(exc)) from None
+    if "p_cov0" in shaped:
+        p0 = shaped["p_cov0"]
+        eig = np.linalg.eigvalsh(p0)
+        if not np.array_equal(p0, p0.T) or eig.min() < -1e-12 * np.abs(eig).max():
+            raise ConfigError("strategy.p_cov0 must be symmetric positive semidefinite")
+    if "gearing" in shaped and np.any(shaped["gearing"] <= 0):
+        raise ConfigError("strategy.gearing must be strictly positive")
+    if "caps" in shaped and np.any(shaped["caps"] < 0):
+        raise ConfigError("strategy.caps must be nonnegative")
     outputs = _build_dataclass(OutputConfig, _section(tree, "outputs"), "outputs")
     sweep = _build_dataclass(CostSweepConfig, _section(tree, "cost_sweep"), "cost_sweep")
     if any(dt <= 0 for dt in sweep.delta_ts):

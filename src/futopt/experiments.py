@@ -154,16 +154,6 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     return ExperimentResult(artifacts, checks)
 
 
-def _strategy_measure(batch, ledger, params, theta_max):
-    """Path 0's state price density, consistent with its realized cost process.
-
-    Built as a batch of one from the ledger's path-0 record.
-    """
-    c_tilde = np.nan_to_num(ledger.book.c_tilde, nan=0.0)
-    theta = relative_risk(batch.beta[:1, : batch.n_steps, :] - c_tilde, params)
-    return build_measure_state(theta, batch.dW[:1], params, theta_max)
-
-
 def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
     params = cfg.market
     s = cfg.strategy
@@ -185,8 +175,8 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         )
         if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked
             # Scalars and path-0 reports come from chunk 0; no array outlives it.
-            summary.update(summary_dict(ledger, run_params, s.x0, ledger.H_T, s.h_window))
-            write_wealth_csv(ledger_csv, ledger, _strategy_measure(batch, ledger, run_params, s.theta_max))
+            summary.update(summary_dict(ledger, run_params, s.x0, s.h_window))
+            write_wealth_csv(ledger_csv, ledger)
             write_position_ledger(pos_csv, ledger.book, batch.F, ledger.t_grid)
         return {
             "terminal_wealth": ledger.X_T,
@@ -221,7 +211,7 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
 
 def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
     params = cfg.market
-    theta_max = cfg.strategy.theta_max
+    theta_max, p_cov0 = cfg.strategy.theta_max, cfg.strategy.p_cov0
     n = params.n_steps
     n_buckets = min(4, n)
     edges = np.linspace(0, n, n_buckets + 1).astype(int)
@@ -229,7 +219,7 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
 
     def chunk(seed_seq, n_in_chunk):
         batch = simulate_batch(params, seed_seq, n_in_chunk)
-        fh = run_filter_batch(batch.delta_R(), params)
+        fh = run_filter_batch(batch.delta_R(), params, p_cov0)
         theta_hat = relative_risk(fh.beta_hat[:, :n, :], params)
         ms = build_measure_state(theta_hat, batch.dW, params, theta_max)
         dW_tilde = np.diff(ms.W_tilde, axis=1)
@@ -268,13 +258,13 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
     return ExperimentResult([str(report), str(_manifest(cfg, out, n_paths, seed))], checks)
 
 
-def _value_arbitration(params, seed: int, n_paths: int, x0: float):
+def _value_arbitration(params, seed: int, n_paths: int, x0: float, p_cov0=None):
     """The two printed value formulas vs the Monte Carlo mean of log xi_T on a
     fresh batch; each array is dropped as soon as no later stage reads it."""
     batch = simulate_batch(params, np.random.SeedSequence(seed), n_paths)
     dW, delta_R = batch.dW, batch.delta_R()
     del batch
-    beta_hat = run_filter_batch(delta_R, params).beta_hat
+    beta_hat = run_filter_batch(delta_R, params, p_cov0).beta_hat
     del delta_R
     theta_hat = relative_risk(beta_hat[:, : params.n_steps, :], params)
     del beta_hat
@@ -299,7 +289,7 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         checks.append(_check(f"utility_valid:{name}", val["ok"]))
         checks.append(_check(f"conjugate_gap:{name}", gap <= 1e-6, f"max gap {gap:.3g}"))
 
-    rep = _value_arbitration(params, seed, min(n_paths, 20000), cfg.strategy.x0)
+    rep = _value_arbitration(params, seed, min(n_paths, 20000), cfg.strategy.x0, cfg.strategy.p_cov0)
     arb = {
         "value_mc": rep.value_mc,
         "value_mc_stderr": rep.value_mc_stderr,
@@ -380,7 +370,7 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
 
     def chunk(seed_seq, n_in_chunk):
         batch = simulate_batch(params, seed_seq, n_in_chunk)
-        beta_hat = run_filter_batch(batch.delta_R(), params).beta_hat
+        beta_hat = run_filter_batch(batch.delta_R(), params, s.p_cov0).beta_hat
         res = {}
         for name, make in policies.items():
             X_T = run_backtest(batch, make(), params, s.x0, beta_hat=beta_hat).X_T

@@ -23,16 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, SingularModelError
-from .market import PathBatch
+from .errors import SingularModelError
 from .params import MarketParams, _as_matrix
 
 __all__ = [
     "FilterHistory",
     "default_p_cov0",
     "run_filter_batch",
-    "neutrality_diagnostics",
-    "DiagnosticsReport",
 ]
 
 
@@ -86,22 +83,15 @@ class FilterHistory:
     """Full filter trajectory over a batch of paths.
 
     beta_hat rows are the estimates available at the start of each step;
-    d_nu holds the N innovation increments and nu their running sum with
-    nu_0 = 0.  As in PathBatch, memory is step-major: beta_hat and d_nu are
-    (n_paths, ..., d) views of (N + 1 | N, n_paths, d) buffers, so a path's
-    slice is strided and keeps the whole batch alive.
+    d_nu holds the N innovation increments.  As in PathBatch, memory is
+    step-major: beta_hat and d_nu are (n_paths, ..., d) views of
+    (N + 1 | N, n_paths, d) buffers, so a path's slice is strided and keeps
+    the whole batch alive.
     """
 
     beta_hat: np.ndarray     # (n_paths, N + 1, d)
     p_cov: np.ndarray        # (N + 1, d, d), shared across paths
     d_nu: np.ndarray         # (n_paths, N, d)
-
-    @property
-    def nu(self) -> np.ndarray:
-        n_paths, n, d = self.d_nu.shape
-        out = np.zeros((n_paths, n + 1, d))
-        np.cumsum(self.d_nu, axis=1, out=out[:, 1:, :])
-        return out
 
 
 def run_filter_batch(
@@ -140,61 +130,3 @@ def run_filter_batch(
     return FilterHistory(
         beta_hat=beta_steps.transpose(1, 0, 2), p_cov=p_cov, d_nu=nu_steps.transpose(1, 0, 2)
     )
-
-
-# -- innovation diagnostics -------------------------------------------------
-
-
-@dataclass
-class DiagnosticsReport:
-    """Flat collection of (metric, component, value, stderr) rows."""
-
-    rows: list[tuple[str, str, float, float]]
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "component", "value", "stderr"])
-            for metric, comp, value, stderr in self.rows:
-                writer.writerow([metric, comp, repr(float(value)), repr(float(stderr))])
-
-
-def neutrality_diagnostics(
-    filter_hist: FilterHistory, paths: PathBatch, params: MarketParams
-) -> DiagnosticsReport:
-    """Check that path 0's innovations look like model noise and ignore prices.
-
-    Computes per-component innovation means, the sample covariance against
-    its target rho dt, and the correlation between each innovation component
-    and the matching futures price at the step start.
-    """
-    d_nu = filter_hist.d_nu[0]
-    n, d = d_nu.shape
-    if n < 30:
-        raise ModelError(f"need at least 30 steps for diagnostics, got {n}")
-
-    dt = params.delta_t
-    rows: list[tuple[str, str, float, float]] = []
-
-    mean = d_nu.mean(axis=0)
-    sd = d_nu.std(axis=0, ddof=1)
-    for i in range(d):
-        rows.append(("innovation_mean", f"{i + 1}", float(mean[i]), float(sd[i] / np.sqrt(n))))
-
-    cov = np.cov(d_nu.T, ddof=1).reshape(d, d)
-    target = params.rho * dt
-    for i in range(d):
-        for j in range(i, d):
-            # Var of a normal sample covariance entry: (s_ii s_jj + s_ij^2) / (n - 1).
-            se = np.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / (n - 1))
-            rows.append(("innovation_cov_error", f"{i + 1},{j + 1}", float(cov[i, j] - target[i, j]), float(se)))
-
-    F_at_start = paths.F[0, :-1, :]
-    for i in range(d):
-        x, y = d_nu[:, i], F_at_start[:n, i]
-        corr = float(np.corrcoef(x, y)[0, 1])
-        rows.append(("innovation_price_corr", f"{i + 1}", corr, float(1.0 / np.sqrt(n))))
-
-    return DiagnosticsReport(rows=rows)

@@ -34,13 +34,10 @@ from .params import MarketParams
 
 __all__ = [
     "PathBatch",
-    "correlated_increments",
     "simulate_drift",
     "simulate_batch",
     "build_batch",
     "returns_from_prices",
-    "prices_from_returns",
-    "read_path_csv",
 ]
 
 
@@ -115,20 +112,6 @@ def _seed_seq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
-
-
-def correlated_increments(params: MarketParams, seed, n_steps: int | None = None) -> np.ndarray:
-    """Draw (N, d) Brownian increments with E[dW dW*] = rho dt.
-
-    Deterministic given the seed.  Uses the Cholesky factor of rho; a
-    non-positive-definite rho raises with the offending leading minor.
-    """
-    n = params.n_steps if n_steps is None else int(n_steps)
-    if n < 1:
-        raise ModelError("n_steps must be a positive integer")
-    L = params.rho_cholesky()
-    z = _generator(_seed_seq(seed)).standard_normal((n, params.d))
-    return np.sqrt(params.delta_t) * (z @ L.T)
 
 
 def _step_blocks(n: int, size: int) -> list[slice]:
@@ -241,31 +224,3 @@ def returns_from_prices(F: np.ndarray) -> np.ndarray:
     R = np.zeros_like(F)
     np.cumsum(dR, axis=-2, out=R[..., 1:, :])
     return R
-
-
-def prices_from_returns(F0: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Invert returns_from_prices: F_n = F0 * prod(1 + dR)."""
-    R = np.asarray(R, dtype=float)
-    dR = np.diff(R, axis=-2)
-    F = np.empty_like(R)
-    F[..., 0, :] = F0
-    F[..., 1:, :] = F0 * np.cumprod(1.0 + dR, axis=-2)
-    return F
-
-
-def read_path_csv(path: str | Path) -> PathBatch:
-    """Read a path written by PathBatch.to_csv, as a batch of one."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    d = sum(1 for h in header if h.startswith("F_"))
-    t = np.array([float(r[0]) for r in rows])
-    F = np.array([[float(v) for v in r[1 : 1 + d]] for r in rows])
-    R = np.array([[float(v) for v in r[1 + d : 1 + 2 * d]] for r in rows])
-    beta_cells = [r[1 + 2 * d : 1 + 3 * d] for r in rows]
-    if all(all(c != "" for c in row) for row in beta_cells):
-        beta = np.array([[[float(v) for v in row] for row in beta_cells]])
-    else:
-        beta = None
-    return PathBatch(t_grid=t, F=F[None], R=R[None], beta=beta)

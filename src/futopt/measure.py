@@ -114,21 +114,6 @@ def martingale_recursion(theta: np.ndarray, dW: np.ndarray) -> np.ndarray:
     return Z
 
 
-def martingale_recursion_gap(theta, dW, params) -> tuple[float, float]:
-    """Max per-step gap between closed-form and recursion growth factors.
-
-    Returns (max_gap, c_hat) where c_hat = max_gap / dt estimates the
-    constant in the first-order agreement bound.
-    """
-    theta = np.asarray(theta, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    a = np.einsum("...i,...i->...", theta, dW)
-    q = _quad_form(theta, params.rho) * params.delta_t
-    gap = np.abs(np.exp(-a - 0.5 * q) - (1.0 - a))
-    max_gap = float(np.max(gap))
-    return max_gap, max_gap / params.delta_t
-
-
 def change_measure(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:
     """Shifted Brownian increments dW~ = dW + rho theta dt."""
     theta = np.asarray(theta, dtype=float)

@@ -27,7 +27,6 @@ __all__ = [
     "cost_term",
     "payoff_transform",
     "log_optimal_factor",
-    "log_optimal_weights",
     "write_position_ledger",
 ]
 
@@ -142,13 +141,6 @@ def log_optimal_factor(params: MarketParams, literal_product: bool = False) -> n
         return np.linalg.inv(left @ params.rho @ params.sigma)
     except np.linalg.LinAlgError:
         raise SingularModelError("sigma rho sigma product") from None
-
-
-def log_optimal_weights(
-    upsilon: np.ndarray, params: MarketParams, literal_product: bool = False
-) -> np.ndarray:
-    """Growth-optimal weights pi = (sigma* rho sigma)^{-1} upsilon."""
-    return np.asarray(upsilon, dtype=float) @ log_optimal_factor(params, literal_product).T
 
 
 @dataclass

@@ -56,7 +56,6 @@ class UtilitySpec:
     u: Callable[[np.ndarray], np.ndarray]
     u_prime: Callable[[np.ndarray], np.ndarray]
     inverse_marginal: Callable[[np.ndarray], np.ndarray]
-    conj: Callable[[np.ndarray], np.ndarray] | None = None
     growth: tuple[float, float] | None = None
     big_x_exact: Callable[[float], float] | None = None
 
@@ -67,7 +66,6 @@ def log_utility() -> UtilitySpec:
         u=np.log,
         u_prime=lambda x: 1.0 / np.asarray(x, float),
         inverse_marginal=lambda y: 1.0 / np.asarray(y, float),
-        conj=lambda y: -np.log(np.asarray(y, float)) - 1.0,
         growth=None,
         big_x_exact=lambda y: 1.0 / y,
     )
@@ -84,7 +82,6 @@ def power_utility(delta: float) -> UtilitySpec:
         u=lambda x: np.asarray(x, float) ** delta / delta,
         u_prime=lambda x: np.asarray(x, float) ** (delta - 1.0),
         inverse_marginal=lambda y: np.asarray(y, float) ** exp_i,
-        conj=lambda y: (1.0 / delta - 1.0) * np.asarray(y, float) ** (delta * exp_i),
         growth=(1.0 / delta, delta),
         big_x_exact=None,
     )

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import ModelError
 from .filtering import run_filter_batch
 from .market import PathBatch
-from .measure import (MeasureState, cap_relative_risk, discount_and_density, log_martingale_step,
-                      relative_risk)
+from .measure import cap_relative_risk, discount_and_density, log_martingale_step, relative_risk
 from .params import MarketParams
 from .strategies import Strategy, StrategyObs
 from .trading import PositionBook, contract_price, cost_term, position_from_weights
@@ -94,9 +93,11 @@ class WealthLedger:
     X and the book hold path 0 only, as a batch of one, so their size does
     not grow with the number of paths.  X_T, dead and events cover every
     path; events is a list of (path, step, kind) tuples for clip, zero-cost
-    fallback and admissibility incidents.  H_T and n_capped are set when
-    run_backtest is asked for the state price density.  Nothing else per
-    path is kept: the loop reads the filter's estimates a row at a time.
+    fallback and admissibility incidents.  When run_backtest is asked for
+    the state price density, it sets H_T and n_capped for every path, and
+    gamma and H, path 0's discount factor and density over the grid, from
+    the same step loop; otherwise they stay None.  Nothing else per path is
+    kept: the loop reads the filter's estimates a row at a time.
     """
 
     t_grid: np.ndarray
@@ -107,6 +108,8 @@ class WealthLedger:
     events: list[tuple[int, int, str]] = field(default_factory=list)
     H_T: np.ndarray | None = None     # (n_paths,), gamma_N Z_N
     n_capped: int = 0                 # theta rows scaled back onto the cap
+    gamma: np.ndarray | None = None   # (N + 1,)
+    H: np.ndarray | None = None       # (N + 1,), gamma Z, path 0
 
 
 def run_backtest(
@@ -138,9 +141,10 @@ def run_backtest(
     Given theta_max (np.inf for no cap) and a batch with latent beta and
     dW, the loop also builds the terminal state price density H_T = gamma_N
     Z_N for every path, with theta_n the relative risk of beta_n net of the
-    realized cost c_tilde_n, capped at theta_max; the ledger carries H_T and
-    the number of capped rows.  These are the values build_measure_state
-    gives on the whole batch, without its (n_paths, N) histories.
+    realized cost c_tilde_n, capped at theta_max; the ledger carries H_T,
+    the number of capped rows, and path 0's gamma and H = gamma Z.  These
+    are the values build_measure_state gives on the whole batch, without its
+    (n_paths, N) histories.
     """
     if x0 < 0:
         raise ModelError("initial wealth must be nonnegative")
@@ -166,6 +170,7 @@ def run_backtest(
     # Path 0's record, one row per step.
     X_hist = np.empty(n + 1)
     X_hist[0] = X[0]
+    Z_hist = np.ones(n + 1)
     pi_hist = np.zeros((n, d))
     P_hist = np.zeros((n, d))
     trade_hist = np.zeros((n, d))
@@ -228,6 +233,7 @@ def run_backtest(
                 raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
 
         X_hist[i + 1] = X_next[0]
+        Z_hist[i + 1] = Z[0]
         pi_hist[i] = pi[0]
         P_hist[i] = P[0]
         trade_hist[i] = trade[0]
@@ -244,7 +250,7 @@ def run_backtest(
         C=C_hist[None], pi=pi_hist[None], P=P_hist[None], trade=trade_hist[None],
         c_tilde=ct_hist[None], cash_cost=cash_hist[None], clipped=clip_hist[None],
     )
-    H_T = discount_and_density(params, np.ones(n + 1))[0][-1] * Z if density else None
+    gamma, H = discount_and_density(params, Z_hist) if density else (None, None)
     return WealthLedger(
         t_grid=t_grid,
         X=X_hist[None],
@@ -252,8 +258,10 @@ def run_backtest(
         X_T=X,
         dead=dead,
         events=events,
-        H_T=H_T,
+        H_T=gamma[-1] * Z if density else None,
         n_capped=n_capped,
+        gamma=gamma,
+        H=H,
     )
 
 
@@ -274,18 +282,18 @@ def realized_monetary_vol(ledger: WealthLedger, params: MarketParams, window: in
     return float(tail.std(ddof=1) / np.sqrt(params.delta_t)) if w > 1 else 0.0
 
 
-def write_wealth_csv(
-    path: str | Path,
-    ledger: WealthLedger,
-    measure: MeasureState | None = None,
-) -> None:
-    """Per-time CSV of path 0: wealth, discounted wealth, per-asset columns."""
+def write_wealth_csv(path: str | Path, ledger: WealthLedger) -> None:
+    """Per-time CSV of path 0: wealth, discounted wealth, per-asset columns.
+
+    gamma X and H X take path 0's gamma and H from the ledger, as run_backtest's
+    step loop built them; both columns are NaN when the ledger has no density.
+    """
     X = ledger.X[0]
     n = X.shape[0] - 1
     book = ledger.book
     d = book.P.shape[-1]
-    gamma_X = measure.gamma * X if measure is not None else np.full(n + 1, np.nan)
-    H_X = measure.H[0] * X if measure is not None else np.full(n + 1, np.nan)
+    gamma_X = ledger.gamma * X if ledger.gamma is not None else np.full(n + 1, np.nan)
+    H_X = ledger.H * X if ledger.H is not None else np.full(n + 1, np.nan)
 
     header = ["time", "wealth", "discounted_wealth", "H_wealth"]
     for j in range(d):
@@ -315,17 +323,15 @@ def summary_dict(
     ledger: WealthLedger,
     params: MarketParams,
     x0: float,
-    H_T: np.ndarray | None = None,
     h_window: int = 20,
 ) -> dict:
     """Aggregate statistics for the summary JSON artifact.
 
-    Terminal statistics and event counts cover every path of the ledger; the
-    budget fields need the terminal state price density H_T of those paths.
+    Terminal statistics and event counts cover every path of the ledger.
     """
     X_T = ledger.X_T
     n_paths = X_T.shape[0]
-    out = {
+    return {
         "n_paths": int(n_paths),
         "x0": float(x0),
         "terminal_mean": float(X_T.mean()),
@@ -338,11 +344,3 @@ def summary_dict(
         "dead_paths": int(np.count_nonzero(ledger.dead)),
         "realized_monetary_vol": realized_monetary_vol(ledger, params, h_window),
     }
-    if H_T is not None:
-        HX_T = H_T * X_T
-        mean = float(HX_T.mean())
-        se = float(HX_T.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-        out["budget_mean_HX"] = mean
-        out["budget_stderr"] = se
-        out["budget_z_score"] = (mean - x0) / se if se > 0 else 0.0
-    return out

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from futopt import MarketParams
+from futopt import MarketParams, ModelError
 
 
 @pytest.fixture
@@ -54,3 +54,47 @@ def traced_peaks(run, p, n_paths=4096):
         finally:
             tracemalloc.stop()
     return peaks
+
+
+def increments(p, seed):
+    """(N, d) Brownian increments with covariance rho dt from seed's Philox stream."""
+    z = np.random.Generator(np.random.Philox(seed)).standard_normal((p.n_steps, p.d))
+    return np.sqrt(p.delta_t) * (z @ p.rho_cholesky().T)
+
+
+def neutrality_diagnostics(filter_hist, paths, params):
+    """Check that path 0's innovations look like model noise and ignore prices.
+
+    Returns (metric, component, value, stderr) rows: per-component innovation
+    means, the sample covariance against its target rho dt, and the
+    correlation between each innovation component and the matching futures
+    price at the step start.
+    """
+    d_nu = filter_hist.d_nu[0]
+    n, d = d_nu.shape
+    if n < 30:
+        raise ModelError(f"need at least 30 steps for diagnostics, got {n}")
+
+    dt = params.delta_t
+    rows: list[tuple[str, str, float, float]] = []
+
+    mean = d_nu.mean(axis=0)
+    sd = d_nu.std(axis=0, ddof=1)
+    for i in range(d):
+        rows.append(("innovation_mean", f"{i + 1}", float(mean[i]), float(sd[i] / np.sqrt(n))))
+
+    cov = np.cov(d_nu.T, ddof=1).reshape(d, d)
+    target = params.rho * dt
+    for i in range(d):
+        for j in range(i, d):
+            # Var of a normal sample covariance entry: (s_ii s_jj + s_ij^2) / (n - 1).
+            se = np.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / (n - 1))
+            rows.append(("innovation_cov_error", f"{i + 1},{j + 1}", float(cov[i, j] - target[i, j]), float(se)))
+
+    F_at_start = paths.F[0, :-1, :]
+    for i in range(d):
+        x, y = d_nu[:, i], F_at_start[:n, i]
+        corr = float(np.corrcoef(x, y)[0, 1])
+        rows.append(("innovation_price_corr", f"{i + 1}", corr, float(1.0 / np.sqrt(n))))
+
+    return rows

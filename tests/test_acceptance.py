@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import neutrality_diagnostics
 from futopt import (
     ConstantWeightStrategy,
     LogOptimalStrategy,
@@ -32,7 +33,6 @@ from futopt import (
     load_config,
     log_optimal_closed_forms,
     log_utility,
-    neutrality_diagnostics,
     position_from_weights,
     power_utility,
     relative_risk,
@@ -99,14 +99,14 @@ def test_c02_innovations_market_neutral():
             F0=np.array([100.0, 100.0]), beta0=np.array([0.05, -0.05]))
     path = simulate_batch(p, 7, 1)
     hist = run_filter_batch(path.delta_R(), p)
-    report = neutrality_diagnostics(hist, path, p)
+    rows = neutrality_diagnostics(hist, path, p)
 
     n = p.n_steps
     mean_bound = 3.0 * np.sqrt(p.delta_t / n)
     worst = {"innovation_mean": 0.0, "innovation_cov_error": 0.0,
              "innovation_price_corr": 0.0}
     ok = True
-    for metric, _comp, value, stderr in report.rows:
+    for metric, _comp, value, stderr in rows:
         if metric == "innovation_mean":
             ok &= abs(value) <= mean_bound
             worst[metric] = max(worst[metric], abs(value) / mean_bound)

@@ -338,6 +338,11 @@ def test_cli_bad_integer_fields_exit_2_naming_the_field(tmp_path, capsys, sectio
     ("strategy", "caps", [1, 2, 3]),
     ("strategy", "const_weights", [1, 2]),
     ("strategy", "gearing", [[1.0]]),
+    ("strategy", "p_cov0", -5),
+    ("strategy", "p_cov0", [[-0.5]]),
+    ("strategy", "gearing", -1),
+    ("strategy", "gearing", 0.0),
+    ("strategy", "caps", -1.0),
     ("strategy", "integer_contracts", 3),
     ("strategy", "literal_product", "yes"),
 ])
@@ -354,6 +359,27 @@ def test_cli_bad_float_and_list_fields_exit_2_naming_the_field(
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p_cov0", [[[1.0, 0.5], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["asymmetric", "indefinite"])
+def test_p_cov0_must_be_symmetric_psd(p_cov0):
+    tree = {"market": {"d": 2}, "strategy": {"p_cov0": p_cov0}}
+    with pytest.raises(ConfigError, match="strategy.p_cov0 must be symmetric positive semidefinite"):
+        config_from_dict(tree)
+    tree["strategy"]["p_cov0"] = [[1.0, 1.0], [1.0, 1.0]]   # singular but semidefinite
+    config_from_dict(tree)
+
+
+@pytest.mark.parametrize("p_cov0", [0, 0.5, [[0.5]]])
+def test_cli_semidefinite_p_cov0_runs(tmp_path, p_cov0):
+    import yaml
+
+    tree = yaml.safe_load(MINI_YAML)
+    tree["strategy"] = {"p_cov0": p_cov0}
+    cfg = tmp_path / "prior.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_theta_max_inf_means_no_cap(tmp_path):

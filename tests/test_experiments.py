@@ -255,7 +255,6 @@ def test_backtest_strategy_p_cov0_reaches_the_filter(tmp_path):
     import numpy as np
 
     from futopt import build_strategy, run_backtest, run_filter_batch, simulate_batch
-    from futopt.experiments import _strategy_measure
     from futopt.wealth import write_wealth_csv
 
     run_experiment(_cfg("backtest"), out_dir=tmp_path / "default")
@@ -268,18 +267,33 @@ def test_backtest_strategy_p_cov0_reaches_the_filter(tmp_path):
     batch = simulate_batch(p, np.random.SeedSequence(cfg.mc.seed).spawn(1)[0], cfg.mc.n_paths)
     beta_hat = run_filter_batch(batch.delta_R(), p, np.array([[0.5]])).beta_hat
     ledger = run_backtest(batch, build_strategy(cfg), p, s.x0, beta_hat=beta_hat, theta_max=s.theta_max)
-    write_wealth_csv(tmp_path / "oracle.csv", ledger, _strategy_measure(batch, ledger, p, s.theta_max))
+    write_wealth_csv(tmp_path / "oracle.csv", ledger)
 
     got = (tmp_path / "matrix" / "ledger_0000.csv").read_bytes()
     assert got != (tmp_path / "default" / "ledger_0000.csv").read_bytes()
     assert got == (tmp_path / "oracle.csv").read_bytes() == (tmp_path / "scalar" / "ledger_0000.csv").read_bytes()
 
 
+@pytest.mark.parametrize("experiment, artifact", [
+    ("verify-measure", "measure_report.csv"),
+    ("optimality-probe", "optimality_probe.csv"),
+    ("duality-report", "duality.json"),
+])
+def test_strategy_p_cov0_reaches_every_filter(tmp_path, experiment, artifact):
+    mc = {"n_paths": 256, "seed": 3}
+    run_experiment(_cfg(experiment, mc=mc), out_dir=tmp_path / "default")
+    run_experiment(_cfg(experiment, mc=mc, strategy={"p_cov0": 0.5}), out_dir=tmp_path / "prior")
+    got = (tmp_path / "prior" / artifact).read_bytes()
+    assert got != (tmp_path / "default" / artifact).read_bytes()
+
+
 def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     import numpy as np
 
-    from futopt import build_batch, build_strategy, run_backtest, simulate_batch, summary_dict
-    from futopt.experiments import _strategy_measure
+    from dataclasses import replace
+
+    from futopt import (build_batch, build_measure_state, build_strategy, relative_risk, run_backtest,
+                        simulate_batch, summary_dict)
     from futopt.montecarlo import DEFAULT_CHUNK
     from futopt.trading import write_position_ledger
     from futopt.wealth import write_wealth_csv
@@ -292,18 +306,21 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     seed_seq = np.random.SeedSequence(TWO_CHUNKS["seed"]).spawn(1)[0]
     batch = simulate_batch(p, seed_seq, min(DEFAULT_CHUNK, TWO_CHUNKS["n_paths"]))
     ledger = run_backtest(batch, build_strategy(cfg), p, s.x0, theta_max=s.theta_max)
-    # path 0 alone, as a batch of one from its own increments
+    # path 0 alone, as a batch of one from its own increments, with its
+    # density built on the whole path from the costs it paid
     one = build_batch(p, batch.dW[:1], batch.dW2[:1])
     one_ledger = run_backtest(one, build_strategy(cfg), p, s.x0)
+    theta = relative_risk(one.beta[:, : p.n_steps] - np.nan_to_num(one_ledger.book.c_tilde, nan=0.0), p)
+    ms = build_measure_state(theta, one.dW, p, s.theta_max)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
-    write_wealth_csv(oracle / "ledger_0000.csv", one_ledger, _strategy_measure(one, one_ledger, p, s.theta_max))
+    write_wealth_csv(oracle / "ledger_0000.csv", replace(one_ledger, gamma=ms.gamma, H=ms.H[0]))
     write_position_ledger(oracle / "positions_0000.csv", one_ledger.book, one.F, one.t_grid)
     for name in ("ledger_0000.csv", "positions_0000.csv"):
         assert _read_csv(tmp_path / "run" / name) == _read_csv(oracle / name)
 
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    expected = summary_dict(ledger, p, s.x0, ledger.H_T, s.h_window)
+    expected = summary_dict(ledger, p, s.x0, s.h_window)
     for key in ("x0", "terminal_std", "terminal_min", "terminal_max",
                 "admissibility_violations", "clip_events", "cash_cost_fallbacks",
                 "dead_paths", "realized_monetary_vol"):

@@ -1,18 +1,30 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and every exported name is used.
 
 Tooling that wraps public functions (the span tracer under perfbench/) reads
 each module's __all__; a listed name that no longer exists would silently
-drop out of it, so a stale entry fails here instead.
+drop out of it, so a stale entry fails here instead.  A listed name that no
+code in the package (beyond its re-export in __init__) and no script reads is
+code the experiments never run, so it fails too, unless it is a kept oracle
+or a documented entry point.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import futopt
 
 MODULES = sorted(i.name for i in pkgutil.iter_modules(futopt.__path__) if i.name != "__main__")
+SRC = Path(futopt.__file__).parent
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+#: Public names kept although only tests call them: independent oracles
+#: (the return-form recursion, the first-order Z recursion, the primal
+#: solution of the utility problem) and the way in for observed prices.
+UNCALLED_ALLOWED = {"step_wealth", "martingale_recursion", "optimal_terminal_wealth", "ingest_prices"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,7 +34,31 @@ def test_every_all_name_exists(name):
     assert not missing, f"futopt.{name}.__all__ lists missing names {missing}"
 
 
+def _referenced_names(path: Path) -> set[str]:
+    """Names a file's code reads, as a bare name or as an attribute."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_name_is_read_by_src_or_scripts(name):
+    module = importlib.import_module(f"futopt.{name}")
+    code = [p for p in SRC.glob("*.py") if p.name != "__init__.py"] + list(SCRIPTS.glob("*.py"))
+    used = set().union(*map(_referenced_names, code))
+    unused = [n for n in getattr(module, "__all__", ()) if n not in used | UNCALLED_ALLOWED]
+    assert not unused, f"futopt.{name}.__all__ lists names only tests call: {unused}"
+
+
 def test_package_exports_no_deleted_name():
     deleted = ("PathState", "simulate_path", "build_path", "run_filter", "approx_cost_term",
-               "filter_step", "FilterState", "discounted_series")
+               "filter_step", "FilterState", "discounted_series", "correlated_increments",
+               "prices_from_returns", "read_path_csv", "neutrality_diagnostics", "DiagnosticsReport",
+               "log_optimal_weights", "martingale_recursion_gap")
     assert [n for n in deleted if hasattr(futopt, n)] == []
+    assert not hasattr(futopt.FilterHistory, "nu")
+    assert "conj" not in futopt.UtilitySpec.__dataclass_fields__

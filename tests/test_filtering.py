@@ -10,13 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futopt import (
-    MarketParams,
-    SingularModelError,
-    neutrality_diagnostics,
-    run_filter_batch,
-    simulate_batch,
-)
+from conftest import neutrality_diagnostics
+from futopt import MarketParams, ModelError, SingularModelError, run_filter_batch, simulate_batch
 from futopt.filtering import default_p_cov0
 
 
@@ -120,10 +115,8 @@ def test_innovation_shape_and_start():
     p = _params(n_steps=37)
     hist = run_filter_batch(simulate_batch(p, 5, 1).delta_R(), p)
     assert hist.d_nu.shape == (1, 37, 1)
-    nu = hist.nu
-    assert nu.shape == (1, 38, 1)
-    assert nu[0, 0, 0] == 0.0
-    assert np.allclose(np.diff(nu, axis=1), hist.d_nu)
+    assert hist.beta_hat.shape == (1, 38, 1)
+    assert np.array_equal(hist.beta_hat[0, 0], p.beta0)
 
 
 def test_covariance_psd_along_the_path():
@@ -185,14 +178,12 @@ def test_batch_filter_matches_single():
         batch = run_filter_batch(delta_R, p)
         assert batch.beta_hat.shape == (5, n + 1, d)
         assert batch.d_nu.shape == (5, n, d)
-        assert batch.nu.shape == (5, n + 1, d)
         # gain schedule is observation independent: shared covariance
         assert batch.p_cov.shape == (n + 1, d, d)
         for i in (0, 2, 4):
             single = run_filter_batch(delta_R[i : i + 1], p)
             assert same(batch.beta_hat[i : i + 1], single.beta_hat)
             assert same(batch.d_nu[i : i + 1], single.d_nu)
-            assert same(batch.nu[i : i + 1], single.nu)
             assert np.array_equal(batch.p_cov, single.p_cov)
 
 
@@ -207,30 +198,18 @@ def test_diagnostics_on_injected_brownian_innovations():
     delta_R = p.sigma[0, 0] * dW[None]  # beta = 0: returns are pure noise
     path = simulate_batch(p, 10, 1)
     hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.zeros(1))
-    report = neutrality_diagnostics(hist, path, p)
-    rows = {(r[0], r[1]): (r[2], r[3]) for r in report.rows}
+    rows = {(r[0], r[1]): (r[2], r[3]) for r in neutrality_diagnostics(hist, path, p)}
     mean, se = rows[("innovation_mean", "1")]
     assert abs(mean) <= 3.0 * se
     cov_err, cov_se = rows[("innovation_cov_error", "1,1")]
     assert abs(cov_err) <= 3.0 * cov_se
 
 
-def test_diagnostics_csv(tmp_path):
-    p = _params(n_steps=256)
-    path = simulate_batch(p, 2, 1)
-    hist = run_filter_batch(path.delta_R(), p)
-    report = neutrality_diagnostics(hist, path, p)
-    out = tmp_path / "diag.csv"
-    report.to_csv(out)
-    header = out.read_text().splitlines()[0]
-    assert header == "metric,component,value,stderr"
-
-
 def test_diagnostics_reject_short_paths():
     p = _params(n_steps=10)
     path = simulate_batch(p, 2, 1)
     hist = run_filter_batch(path.delta_R(), p)
-    with pytest.raises(Exception):
+    with pytest.raises(ModelError, match="at least 30 steps"):
         neutrality_diagnostics(hist, path, p)
 
 

@@ -9,9 +9,6 @@ from futopt import (
     ModelError,
     PathBatch,
     build_batch,
-    correlated_increments,
-    prices_from_returns,
-    read_path_csv,
     returns_from_prices,
     simulate_batch,
     simulate_drift,
@@ -28,26 +25,27 @@ def _params(**over):
 
 # -- increments -------------------------------------------------------------
 
+# Many paths of few steps: long paths of dt = 1 overflow the prices.
+
 def test_identity_correlation_unit_variance():
-    p = _params(delta_t=1.0, n_steps=50_000)
-    dW = correlated_increments(p, seed=0)
-    assert dW.shape == (50_000, 1)
+    p = _params(delta_t=1.0, n_steps=5)
+    dW = simulate_batch(p, 0, 10_000).dW
+    assert dW.shape == (10_000, 5, 1)
     assert dW.var() == pytest.approx(1.0, rel=0.02)
 
 
 def test_zero_correlation_independent_columns():
     p = _params(d=2, rho=np.eye(2), sigma=0.2, F0=np.array([100.0, 100.0]),
-                beta0=0.0, n_steps=200_000, delta_t=1.0)
-    dW = correlated_increments(p, seed=1)
+                beta0=0.0, n_steps=5, delta_t=1.0)
+    dW = simulate_batch(p, 1, 40_000).dW.reshape(-1, 2)
     r = np.corrcoef(dW[:, 0], dW[:, 1])[0, 1]
     assert abs(r) < 3.0 / np.sqrt(200_000)
 
 
 def test_sample_covariance_matches_rho_dt():
     rho = np.array([[1.0, 0.5], [0.5, 1.0]])
-    p = _params(d=2, rho=rho, F0=np.array([100.0, 100.0]), beta0=0.0,
-                n_steps=1_000_000)
-    dW = correlated_increments(p, seed=2)
+    p = _params(d=2, rho=rho, F0=np.array([100.0, 100.0]), beta0=0.0, n_steps=10)
+    dW = simulate_batch(p, 2, 100_000).dW.reshape(-1, 2)
     n = dW.shape[0]
     cov = dW.T @ dW / n
     target = rho * p.delta_t
@@ -58,9 +56,10 @@ def test_sample_covariance_matches_rho_dt():
 
 def test_increments_deterministic_given_seed():
     p = _params(n_steps=64)
-    a = correlated_increments(p, seed=7)
-    b = correlated_increments(p, seed=7)
-    assert np.array_equal(a, b)
+    a = simulate_batch(p, 7, 3)
+    b = simulate_batch(p, 7, 3)
+    assert np.array_equal(a.dW, b.dW)
+    assert np.array_equal(a.dW2, b.dW2)
 
 
 # -- drift ------------------------------------------------------------------
@@ -142,8 +141,8 @@ def test_price_return_round_trip():
     path = simulate_batch(p, 11, 1)
     R = returns_from_prices(path.F)
     assert np.allclose(R, path.R, rtol=1e-12, atol=1e-12)
-    F = prices_from_returns(p.F0, path.R)
-    assert np.allclose(F, path.F, rtol=1e-12)
+    F = p.F0 * np.cumprod(1.0 + path.delta_R(), axis=1)
+    assert np.allclose(F, path.F[:, 1:], rtol=1e-12)
 
 
 def test_positivity_guard_floors_factor():
@@ -283,15 +282,14 @@ def test_csv_round_trip(tmp_path):
     batch = simulate_batch(p, 8, 3)
     out = tmp_path / "p.csv"
     batch.to_csv(out, 1)
-    back = read_path_csv(out)
-    assert back.n_paths == 1
-    assert np.array_equal(back.t_grid, batch.t_grid)
-    assert np.array_equal(back.F, batch.F[1:2])
-    assert np.array_equal(back.R, batch.R[1:2])
-    assert np.array_equal(back.beta, batch.beta[1:2])
+    header, *rows = out.read_text().splitlines()
+    assert header == "time,F_1,R_1,beta_1"
+    back = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(back[:, 0], batch.t_grid)
+    assert np.array_equal(back[:, 1:], np.concatenate([batch.F[1], batch.R[1], batch.beta[1]], axis=1))
     # a path without latent fields (ingested prices) leaves the beta cells empty
-    PathBatch(t_grid=back.t_grid, F=back.F, R=back.R).to_csv(out, 0)
-    assert read_path_csv(out).beta is None
+    PathBatch(t_grid=batch.t_grid, F=batch.F[1:2], R=batch.R[1:2]).to_csv(out, 0)
+    assert all(row.endswith(",") for row in out.read_text().splitlines()[1:])
 
 
 def test_simulate_batch_rejects_zero_paths():
@@ -309,6 +307,6 @@ def test_simulate_batch_rejects_zero_paths():
 )
 def test_returns_prices_round_trip_property(F):
     R = returns_from_prices(F)
-    F_back = prices_from_returns(F[0], R)
-    assert np.allclose(F_back, F, rtol=1e-9)
+    F_back = F[0] * np.cumprod(1.0 + np.diff(R, axis=0), axis=0)
+    assert np.allclose(F_back, F[1:], rtol=1e-9)
     assert np.all(R[0] == 0.0)

