@@ -11,7 +11,9 @@ count comes from the FUTOPT_WORKERS environment variable (or mc.workers).
 
 Exit status is 0 on success, 1 when a hard invariant check fails (the
 failed checks are also written to failure_summary.json in the output
-directory), and 2 on configuration errors.
+directory), and 2 on configuration errors.  backtest, verify-measure,
+duality-report and optimality-probe compare means with their standard
+errors, so they exit 2 below two paths; simulate and cost-sweep run on one.
 """
 
 from __future__ import annotations

@@ -41,6 +41,8 @@ __all__ = ["ExperimentResult", "run_experiment", "ingest_prices"]
 
 #: Reports with |z| above this fail the run's hard invariant checks.
 Z_MAX = 4.0
+#: Experiments whose checks compare a Monte Carlo mean with its standard error.
+_NEEDS_STDERR = frozenset({"backtest", "verify-measure", "duality-report", "optimality-probe"})
 
 
 @dataclass
@@ -283,7 +285,8 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         gap = float(np.max(np.abs(conjugate(u, y_grid) - conjugate_grid_sup(u, y_grid))))
         entry = {"validation": val, "conjugate_max_gap_vs_grid_sup": gap}
         if name == "log":
-            dd = [abs(double_conjugate_grid(u, x) - float(np.log(x))) for x in (0.5, 1.0, 2.0)]
+            xs = np.array([0.5, 1.0, 2.0])
+            dd = [abs(float(v) - float(np.log(x))) for x, v in zip(xs, double_conjugate_grid(u, xs))]
             entry["double_conjugate_max_gap"] = max(dd)
         report["utilities"][name] = entry
         checks.append(_check(f"utility_valid:{name}", val["ok"]))
@@ -427,10 +430,13 @@ def run_experiment(
     set a nonzero status and the failed checks land in failure_summary.json
     next to the artifacts.
     """
-    out = Path(out_dir if out_dir is not None else cfg.outputs.dir)
-    out.mkdir(parents=True, exist_ok=True)
     use_seed = cfg.mc.seed if seed is None else int(seed)
     use_paths = cfg.mc.n_paths if n_paths is None else int(n_paths)
+    if use_paths < 2 and cfg.experiment in _NEEDS_STDERR:
+        raise ConfigError(f"{cfg.experiment} needs n_paths (--paths) >= 2, got {use_paths}: its checks "
+                          "compare a mean with its standard error, which one path does not have")
+    out = Path(out_dir if out_dir is not None else cfg.outputs.dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     runner = _RUNNERS[cfg.experiment]
     result = runner(cfg, out, use_seed, use_paths)

@@ -154,10 +154,11 @@ def _golden_section_max(f: Callable, a, b, n_iter: int):
     fc, fd = f(c), f(d)
     for _ in range(n_iter):
         left = fc > fd
-        a, b = np.where(left, (a, d), (c, b))
+        a, b = np.where(left, a, c), np.where(left, d, b)
         p = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         fp = f(p)
-        c, d, fc, fd = np.where(left, (p, c, fp, fc), (d, p, fd, fp))
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     return a, b, fc, fd
 
 
@@ -202,24 +203,35 @@ def conjugate_grid_sup(
 _Y_BLOCK = 256
 
 
-def double_conjugate_grid(u: UtilitySpec, x: float, n_grid: int = 4001, n_refine: int = 80) -> float:
-    """inf over y of [U~(y) + x y], with U~ itself from the grid oracle."""
-    if x <= 0:
+def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4001,
+                          n_refine: int = 80) -> float | np.ndarray:
+    """inf over y of [U~(y) + x y], with U~ itself from the grid oracle.
+
+    x may be a scalar (a float comes back) or an array (the same shape, bit-equal to scalar
+    calls element by element): one U~ grid pass and one golden-section search serve every x.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
         raise ModelError("double conjugate is defined for x > 0")
     y = np.geomspace(1e-8, 1e8, n_grid)
     blocks = np.split(y, range(_Y_BLOCK, n_grid, _Y_BLOCK))
-    vals = np.concatenate([conjugate_grid_sup(u, yb, n_grid=801, n_refine=40) for yb in blocks]) + x * y
-    j = int(np.argmin(vals))
-    lo = y[max(j - 1, 0)]
-    hi = y[min(j + 1, n_grid - 1)]
+    conj = np.concatenate([conjugate_grid_sup(u, yb, n_grid=801, n_refine=40) for yb in blocks])
+    vals = conj + x[..., None] * y
+    j = np.argmin(vals, axis=-1)
+    v_j = np.take_along_axis(vals, j[..., None], axis=-1)[..., 0]
+    lo = y[np.maximum(j - 1, 0)]
+    hi = y[np.minimum(j + 1, n_grid - 1)]
 
-    def neg_objective(t: float) -> float:
+    def neg_objective(t):
         yy = np.exp(t)
         return -(conjugate_grid_sup(u, yy, n_grid=801, n_refine=40) + x * yy)
 
     # Maximizing the negated objective: -fc > -fd branches as fc < fd, ties and NaN too.
     _, _, fc, fd = _golden_section_max(neg_objective, np.log(lo), np.log(hi), n_refine)
-    return float(min(vals[j], -fc, -fd))
+    # min(v_j, -fc, -fd) as Python takes it: a later value wins only on a strict <.
+    best = np.where(-fc < v_j, -fc, v_j)
+    best = np.where(-fd < best, -fd, best)
+    return float(best) if best.ndim == 0 else best
 
 
 # -- budget calibration -----------------------------------------------------

@@ -155,7 +155,7 @@ def test_mutated_tiny_run_exits_0_1_or_2_without_a_traceback(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "mutated.yaml"
         cfg.write_text(yaml.safe_dump(tree))
-        for experiment in ("backtest", "optimality-probe"):
+        for experiment in ("simulate", "backtest", "verify-measure", "cost-sweep", "optimality-probe"):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 code = main([experiment, "--config", str(cfg), "--out", str(Path(tmp) / experiment)])
@@ -272,6 +272,27 @@ def test_cli_exit_codes(tmp_path):
     cfg = tmp_path / "ok.yaml"
     cfg.write_text(MINI_YAML)
     assert main(["simulate", "--config", str(cfg), "--paths", "0"]) == 2
+
+
+@pytest.mark.parametrize("experiment", ["backtest", "verify-measure", "duality-report", "optimality-probe"])
+def test_cli_one_path_exits_2_where_checks_need_a_stderr(tmp_path, capsys, experiment):
+    one = tmp_path / "one.yaml"
+    one.write_text(MINI_YAML.replace("n_paths: 2", "n_paths: 1"))
+    two = tmp_path / "two.yaml"
+    two.write_text(MINI_YAML)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(one), "--out", str(out)]) == 2
+    assert main([experiment, "--config", str(two), "--out", str(out), "--paths", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("n_paths (--paths) >= 2, got 1") == 2 and "standard error" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "cost-sweep"])
+def test_cli_one_path_runs_where_no_check_needs_a_stderr(tmp_path, experiment):
+    cfg = tmp_path / "two.yaml"
+    cfg.write_text(MINI_YAML)
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o"), "--paths", "1"]) == 0
 
 
 def test_oversized_d_fails_fast_naming_d_and_the_limit(tmp_path, capsys):

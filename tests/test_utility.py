@@ -146,6 +146,26 @@ def test_double_conjugate_equals_scalar_loop(x):
     assert double_conjugate_grid(u, x, n_grid=601, n_refine=20) == _scalar_double_conjugate(u, x, 601, 20)
 
 
+def test_double_conjugate_array_equals_scalar_loop():
+    u = log_utility()
+    xs = np.array([0.5, 1.0, 2.0])
+    arr = double_conjugate_grid(u, xs, n_grid=601, n_refine=20)
+    assert np.array_equal(arr, [_scalar_double_conjugate(u, x, 601, 20) for x in xs])
+
+
+def test_double_conjugate_shapes_and_types():
+    u = log_utility()
+    for x in (0.7, np.float64(0.7), np.asarray(0.7)):
+        assert type(double_conjugate_grid(u, x, n_grid=301, n_refine=10)) is float
+    assert double_conjugate_grid(u, np.full((2, 2), 0.7), n_grid=301, n_refine=10).shape == (2, 2)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, [1.0, 0.0], [[2.0], [np.nan]], np.nan])
+def test_double_conjugate_rejects_any_x_not_above_zero(x):
+    with pytest.raises(ModelError, match="x > 0"):
+        double_conjugate_grid(log_utility(), np.asarray(x), n_grid=301, n_refine=10)
+
+
 def test_grid_sup_shapes_and_types():
     u = power_utility(0.2)
     for y in (0.7, np.float64(0.7), np.asarray(0.7)):
@@ -180,14 +200,14 @@ def test_double_conjugate_calls_oracle_once_per_block(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(utility, "conjugate_grid_sup", counted)
-    double_conjugate_grid(log_utility(), 1.0, n_grid=4001, n_refine=80)
+    # three x share one grid pass and one refinement
+    double_conjugate_grid(log_utility(), np.array([0.5, 1.0, 2.0]), n_grid=4001, n_refine=80)
     assert len(calls) <= -(-4001 // utility._Y_BLOCK) + 80 + 2
 
 
 def test_double_conjugate_recovers_log_utility():
-    u = log_utility()
-    for x in (0.3, 1.0, 4.0):
-        assert abs(double_conjugate_grid(u, x) - np.log(x)) <= 1e-6
+    xs = np.array([0.3, 1.0, 4.0])
+    assert np.all(np.abs(double_conjugate_grid(log_utility(), xs) - np.log(xs)) <= 1e-6)
 
 
 def test_big_x_closed_form_for_log_ignores_sampling():
