@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .config import ScenarioConfig, build_strategy, config_from_dict, load_config
 from .errors import ConfigError, ModelError, NotPositiveDefiniteError, SingularModelError
 from .experiments import ExperimentResult, ingest_prices, run_experiment
-from .filtering import FilterHistory, default_p_cov0, run_filter_batch
+from .filtering import FilterHistory, KalmanSchedule, default_p_cov0, run_filter_batch
 from .market import (
     PathBatch,
     build_batch,
@@ -58,6 +58,7 @@ from .utility import (
     double_conjugate_grid,
     lagrange_multiplier,
     log_optimal_closed_forms,
+    log_optimal_report,
     log_utility,
     optimal_terminal_wealth,
     power_utility,

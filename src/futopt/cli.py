@@ -11,7 +11,8 @@ count comes from the FUTOPT_WORKERS environment variable (or mc.workers).
 
 Exit status is 0 on success, 1 when a hard invariant check fails (the
 failed checks are also written to failure_summary.json in the output
-directory), and 2 on configuration errors.  backtest, verify-measure,
+directory), and 2 on configuration errors, an unreadable config or an
+unusable output directory included.  backtest, verify-measure,
 duality-report and optimality-probe compare means with their standard
 errors, so they exit 2 below two paths; simulate and cost-sweep run on one.
 """
@@ -47,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:      # an OSError names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.paths is not None and args.paths < 1:
@@ -57,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg.experiment = args.experiment
     try:
         result = run_experiment(cfg, out_dir=args.out, seed=args.seed, n_paths=args.paths)
-    except (ConfigError, ModelError) as exc:
+    except (ConfigError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

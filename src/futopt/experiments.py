@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .config import ScenarioConfig, build_strategy
 from .errors import ConfigError
-from .filtering import run_filter_batch
+from .filtering import KalmanSchedule, run_filter_batch
 from .market import PathBatch, returns_from_prices, simulate_batch
 from .measure import build_measure_state, relative_risk, zeta_projection
 from .montecarlo import chunk_layout, run_chunked
@@ -30,7 +30,7 @@ from .utility import (
     conjugate,
     conjugate_grid_sup,
     double_conjugate_grid,
-    log_optimal_closed_forms,
+    log_optimal_report,
     log_utility,
     power_utility,
     validate_utility,
@@ -262,15 +262,25 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
 
 def _value_arbitration(params, seed: int, n_paths: int, x0: float, p_cov0=None):
     """The two printed value formulas vs the Monte Carlo mean of log xi_T on a
-    fresh batch; each array is dropped as soon as no later stage reads it."""
+    fresh batch, streamed: each step takes theta_hat from the filter's current
+    row, adds its terms to q and the running log-growth, then filters the next
+    row of returns.  Only the batch's R and dW outlive its build."""
     batch = simulate_batch(params, np.random.SeedSequence(seed), n_paths)
-    dW, delta_R = batch.dW, batch.delta_R()
+    R, dW = batch.R, batch.dW
     del batch
-    beta_hat = run_filter_batch(delta_R, params, p_cov0).beta_hat
-    del delta_R
-    theta_hat = relative_risk(beta_hat[:, : params.n_steps, :], params)
-    del beta_hat
-    return log_optimal_closed_forms(theta_hat, dW, params, x0)
+    n, dt = params.n_steps, params.delta_t
+    ks = KalmanSchedule(params, n, p_cov0)
+    rate_dt = (1.0 - params.m) * params.r * dt
+    q = np.empty((n_paths, n))
+    log_growth = None
+    b = np.broadcast_to(params.beta0, (n_paths, params.d)).copy()
+    for i in range(n):
+        theta = relative_risk(b, params)
+        q[:, i] = np.einsum("...i,ij,...j->...", theta, params.rho, theta) * dt
+        term = q[:, i] * 0.5 + rate_dt + np.einsum("...i,...i->...", theta, dW[:, i])
+        log_growth = term if log_growth is None else np.add(log_growth, term, out=log_growth)
+        b, _ = ks.update(b, R[:, i + 1] - R[:, i], i)
+    return log_optimal_report(q, log_growth, params, x0)
 
 
 def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:

@@ -15,6 +15,12 @@ before t_n.  The innovation increments
 
 are serially uncorrelated with covariance rho dt under the model, and they
 are uncorrelated with any function of past returns, prices included.
+
+The recursion splits in two.  The gains and error covariances do not depend
+on the data, so KalmanSchedule computes them once; its update() is the data
+half, one step's row of paths at a time.  run_filter_batch drives it over a
+whole batch, and duality-report's value arbitration steps it inside its own
+loop.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .params import MarketParams, _as_matrix
 
 __all__ = [
     "FilterHistory",
+    "KalmanSchedule",
     "default_p_cov0",
     "run_filter_batch",
 ]
@@ -39,43 +46,53 @@ def default_p_cov0(params: MarketParams) -> np.ndarray:
     return params.varsigma @ params.varsigma.T * scale
 
 
-class _FilterMats:
-    """Precomputed matrices shared by every filter step."""
+class KalmanSchedule:
+    """The data-independent half of the filter, computed once for n_steps.
 
-    def __init__(self, params: MarketParams):
+    The gains K_n and error covariances P_n (Joseph form) do not depend on
+    the observations (Anderson & Moore 1979), so one schedule serves every
+    path.  update() is the data half: it folds one step's row of return
+    increments into a row of estimates.  A scalar p_cov0 means p_cov0 * I.
+    """
+
+    def __init__(self, params: MarketParams, n_steps: int, p_cov0=None):
         if not params.sigma_invertible():
             raise SingularModelError("volatility matrix sigma")
         d, dt = params.d, params.delta_t
         self.dt = dt
-        self.A = np.eye(d) + params.alpha * dt
-        self.Q = params.varsigma @ params.varsigma.T * dt
-        self.R_obs = params.noise_cov()
+        A = np.eye(d) + params.alpha * dt
+        self.A_T = A.T
         self.sigma_inv = np.linalg.inv(params.sigma)
-        self.I = np.eye(d)
+        Q = params.varsigma @ params.varsigma.T * dt
+        R_obs = params.noise_cov()
+        I = np.eye(d)
 
+        p = default_p_cov0(params) if p_cov0 is None else _as_matrix(p_cov0, d, "p_cov0")
+        self.p_cov = np.empty((n_steps + 1, d, d))      # P_n, shared across paths
+        self.p_cov[0] = p
+        self.gains = []
+        for step in range(n_steps):
+            S = p * dt * dt + R_obs
+            try:
+                gain = dt * np.linalg.solve(S, p).T       # K = P H* S^{-1}, H = dt I
+            except np.linalg.LinAlgError:
+                raise SingularModelError("innovation covariance", step) from None
+            if not np.all(np.isfinite(gain)):
+                raise SingularModelError("innovation covariance", step)
+            ikh = I - gain * dt
+            p_post = ikh @ p @ ikh.T + gain @ R_obs @ gain.T   # Joseph form
+            p = A @ p_post @ A.T + Q
+            p = 0.5 * (p + p.T)
+            self.gains.append(gain)
+            self.p_cov[step + 1] = p
 
-def _kalman_step(beta_hat, p_cov, delta_R, mats, step):
-    """One update + predict cycle; beta_hat may carry a leading path axis."""
-    dt = mats.dt
-    resid = delta_R - beta_hat * dt
-    d_nu = resid @ mats.sigma_inv.T
+    def update(self, beta_hat: np.ndarray, delta_R: np.ndarray, step: int):
+        """Update with row `step` of returns, then predict: (beta_hat_{n+1}, residual).
 
-    S = p_cov * dt * dt + mats.R_obs
-    try:
-        gain = dt * np.linalg.solve(S, p_cov).T       # K = P H* S^{-1}, H = dt I
-    except np.linalg.LinAlgError:
-        raise SingularModelError("innovation covariance", step) from None
-    if not np.all(np.isfinite(gain)):
-        raise SingularModelError("innovation covariance", step)
-
-    beta_post = beta_hat + resid @ gain.T
-    ikh = mats.I - gain * dt
-    p_post = ikh @ p_cov @ ikh.T + gain @ mats.R_obs @ gain.T   # Joseph form
-
-    beta_next = beta_post @ mats.A.T
-    p_next = mats.A @ p_post @ mats.A.T + mats.Q
-    p_next = 0.5 * (p_next + p_next.T)
-    return beta_next, p_next, d_nu
+        beta_hat and delta_R are (n_paths, d) rows; the residual is dR_n - beta_hat_n dt.
+        """
+        resid = delta_R - beta_hat * self.dt
+        return (beta_hat + resid @ self.gains[step].T) @ self.A_T, resid
 
 
 @dataclass
@@ -98,35 +115,26 @@ def run_filter_batch(
     delta_R: np.ndarray,
     params: MarketParams,
     p_cov0: np.ndarray | None = None,
-    beta_hat0: np.ndarray | None = None,
 ) -> FilterHistory:
-    """Filter many paths at once.
-
-    The gain schedule does not depend on the observations, so the error
-    covariance is computed once and shared across the path axis.  Rows
-    delta_R[:, i] are read in place, contiguous if delta_R is step-major.  A
-    scalar p_cov0 means p_cov0 * I.
+    """Filter many paths at once from params.beta0: one KalmanSchedule and
+    one update per step.  Rows delta_R[:, i] are read in place, contiguous if
+    delta_R is step-major.
     """
     delta_R = np.asarray(delta_R, dtype=float)
     n_paths, n, d = delta_R.shape
-    mats = _FilterMats(params)
-
-    p = default_p_cov0(params) if p_cov0 is None else _as_matrix(p_cov0, d, "p_cov0")
-    b0 = params.beta0 if beta_hat0 is None else np.asarray(beta_hat0, dtype=float)
+    ks = KalmanSchedule(params, n, p_cov0)
 
     dR_steps = delta_R.transpose(1, 0, 2)
     beta_steps = np.empty((n + 1, n_paths, d))
-    beta_steps[0] = b0
-    p_cov = np.empty((n + 1, d, d))
-    p_cov[0] = p
+    beta_steps[0] = params.beta0
     nu_steps = np.empty((n, n_paths, d))
 
-    b = np.broadcast_to(b0, (n_paths, d)).copy()
+    b = np.broadcast_to(params.beta0, (n_paths, d)).copy()
     for i in range(n):
-        b, p, nu_steps[i] = _kalman_step(b, p, dR_steps[i], mats, i)
+        b, resid = ks.update(b, dR_steps[i], i)
+        nu_steps[i] = resid @ ks.sigma_inv.T
         beta_steps[i + 1] = b
-        p_cov[i + 1] = p
 
     return FilterHistory(
-        beta_hat=beta_steps.transpose(1, 0, 2), p_cov=p_cov, d_nu=nu_steps.transpose(1, 0, 2)
+        beta_hat=beta_steps.transpose(1, 0, 2), p_cov=ks.p_cov, d_nu=nu_steps.transpose(1, 0, 2)
     )

@@ -1,6 +1,6 @@
 """Relative risk, exponential martingale, and state price density.
 
-Given a relative risk process theta solving rho sigma theta = beta_eff, the
+Given a relative risk process theta = (rho sigma)^{-1} beta_eff, the
 exponential martingale
 
     Z_n = exp{ -sum theta* dW - 1/2 sum theta* rho theta dt }
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SingularModelError
+from .market import _times
 from .params import MarketParams
 
 __all__ = [
@@ -36,21 +37,21 @@ __all__ = [
 
 
 def relative_risk(beta_eff: np.ndarray, params: MarketParams) -> np.ndarray:
-    """Solve rho sigma theta = beta_eff row-wise.
+    """theta = (rho sigma)^{-1} beta_eff row-wise, any leading shape.
 
     beta_eff is typically the drift (or its estimate) net of the relative
-    cost term; with zero costs it is the drift itself.
+    cost term; with zero costs it is the drift itself.  The inverse is
+    applied through one 2-D matmul; at d = 1 that is bit-equal to solving.
     """
     beta_eff = np.asarray(beta_eff, dtype=float)
-    A = params.rho @ params.sigma
     try:
-        flat = beta_eff.reshape(-1, params.d)
-        theta = np.linalg.solve(A, flat.T).T
+        inv = np.linalg.inv(params.rho @ params.sigma)
     except np.linalg.LinAlgError:
         raise SingularModelError("rho sigma product") from None
+    theta = _times(beta_eff, inv)
     if not np.all(np.isfinite(theta)):
         raise SingularModelError("rho sigma product")
-    return theta.reshape(beta_eff.shape)
+    return theta
 
 
 def cap_relative_risk(theta: np.ndarray, theta_max: float = 10.0) -> tuple[np.ndarray, int]:

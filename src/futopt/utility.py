@@ -38,6 +38,7 @@ __all__ = [
     "lagrange_multiplier",
     "optimal_terminal_wealth",
     "LogOptimalReport",
+    "log_optimal_report",
     "log_optimal_closed_forms",
 ]
 
@@ -177,8 +178,10 @@ def conjugate_grid_sup(
     y may be a scalar (a float comes back) or an array (the same shape comes
     back, bit-equal to scalar calls element by element).  An array costs a
     (y.size, n_grid) temporary, so callers pass long y grids in blocks of rows.
+    A scalar runs as shape (1,): numpy selections on 0-d values cost more.
     """
     y = np.asarray(y, dtype=float)
+    scalar, y = y.ndim == 0, np.atleast_1d(y)
     if np.any(y <= 0):
         raise ModelError("conjugate is defined for y > 0")
     x = np.geomspace(x_lo, x_hi, n_grid)
@@ -196,7 +199,7 @@ def conjugate_grid_sup(
     x_star = np.exp(0.5 * (a + b))
     refined = u.u(x_star) - x_star * y
     sup = np.where(refined > v_j, refined, v_j)      # max(v_j, refined), NaN as before
-    return float(sup) if sup.ndim == 0 else sup
+    return float(sup[0]) if scalar else sup
 
 
 # y rows per oracle call: (rows, 801) temporaries of about 1.6 MB leave peak RSS where it was.
@@ -211,6 +214,7 @@ def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4
     calls element by element): one U~ grid pass and one golden-section search serve every x.
     """
     x = np.asarray(x, dtype=float)
+    scalar, x = x.ndim == 0, np.atleast_1d(x)
     if not np.all(x > 0):
         raise ModelError("double conjugate is defined for x > 0")
     y = np.geomspace(1e-8, 1e8, n_grid)
@@ -231,7 +235,7 @@ def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4
     # min(v_j, -fc, -fd) as Python takes it: a later value wins only on a strict <.
     best = np.where(-fc < v_j, -fc, v_j)
     best = np.where(-fd < best, -fd, best)
-    return float(best) if best.ndim == 0 else best
+    return float(best[0]) if scalar else best
 
 
 # -- budget calibration -----------------------------------------------------
@@ -350,6 +354,25 @@ class LogOptimalReport:
         return self.value_flat - self.value_mc
 
 
+def log_optimal_report(q: np.ndarray, log_growth: np.ndarray, params: MarketParams,
+                       x0: float) -> LogOptimalReport:
+    """The report from q = theta_hat* rho theta_hat dt per step, shape (..., N), and
+    log_growth = log(xi_T / x0), shape (...), summed over the steps in order."""
+    if x0 <= 0:
+        raise ModelError("initial wealth must be positive")
+    interest = (1.0 - params.m) * params.r * params.delta_t * q.shape[-1]
+    q_sum = float(q.reshape(-1, q.shape[-1]).sum(axis=-1).mean())
+    samples = np.atleast_1d(np.log(x0) + log_growth).ravel()
+    n = samples.size
+    return LogOptimalReport(
+        xi_T=x0 * np.exp(log_growth),
+        value_mc=float(samples.mean()),
+        value_mc_stderr=float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        value_half=float(np.log(x0) + interest + 0.5 * q_sum),
+        value_flat=float(np.log(x0) + interest + q_sum),
+    )
+
+
 def log_optimal_closed_forms(
     theta_hat: np.ndarray,
     dW: np.ndarray,
@@ -359,35 +382,15 @@ def log_optimal_closed_forms(
     """Evaluate xi = x0 exp{ sum [(1-m) r + 1/2 th* rho th] dt + sum th* dW }.
 
     theta_hat and dW have shape (..., N, d); the terminal wealth xi_T comes
-    back with the value-function statistics.  The log-wealth increments are
-    built and summed in place in the quadratic-form array, after its sum.
+    back with the value-function statistics.  A whole-path oracle for the
+    step loop of duality-report, which feeds log_optimal_report row by row.
     """
-    if x0 <= 0:
-        raise ModelError("initial wealth must be positive")
     theta_hat = np.asarray(theta_hat, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    dt = params.delta_t
-    rate = (1.0 - params.m) * params.r
-
     q = np.einsum("...i,ij,...j->...", theta_hat, params.rho, theta_hat)
-    q *= dt
-    interest = rate * dt * q.shape[-1]
-    q_sum = float(q.reshape(-1, q.shape[-1]).sum(axis=-1).mean())
-
-    q *= 0.5                     # q becomes rate dt + 1/2 q + th* dW, then its running sum
-    q += rate * dt
-    q += np.einsum("...i,...i->...", theta_hat, dW)
-    np.cumsum(q, axis=-1, out=q)
-
-    samples = np.atleast_1d(np.log(x0) + q[..., -1]).ravel()
-    n = samples.size
-    value_mc = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-
-    return LogOptimalReport(
-        xi_T=x0 * np.exp(q[..., -1]),
-        value_mc=value_mc,
-        value_mc_stderr=se,
-        value_half=float(np.log(x0) + interest + 0.5 * q_sum),
-        value_flat=float(np.log(x0) + interest + q_sum),
-    )
+    q *= params.delta_t
+    log_xi = 0.5 * q             # becomes rate dt + 1/2 q + th* dW, then its running sum
+    log_xi += (1.0 - params.m) * params.r * params.delta_t
+    log_xi += np.einsum("...i,...i->...", theta_hat, dW)
+    np.cumsum(log_xi, axis=-1, out=log_xi)
+    return log_optimal_report(q, log_xi[..., -1], params, x0)

@@ -129,7 +129,7 @@ def test_c03_filter_matches_joint_gaussian_conditioning():
     p = _mk(n_steps=10, alpha=-0.4, varsigma=0.15)
     delta_R = simulate_batch(p, 101, 1).delta_R()
     p0, b0 = 0.02, 0.05
-    hist = run_filter_batch(delta_R, p, p_cov0=np.array([[p0]]), beta_hat0=np.array([b0]))
+    hist = run_filter_batch(delta_R, p.with_updates(beta0=b0), p_cov0=np.array([[p0]]))
 
     # Brute force: assemble Cov(beta_N, dR_0..dR_9) and condition directly.
     n, dt = 10, p.delta_t

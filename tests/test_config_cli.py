@@ -274,6 +274,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--paths", "0"]) == 2
 
 
+def test_cli_config_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    assert main(["backtest", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+def test_cli_output_under_a_file_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text(MINI_YAML)
+    out = cfg / "sub"
+    assert main(["cost-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("experiment", ["backtest", "verify-measure", "duality-report", "optimality-probe"])
 def test_cli_one_path_exits_2_where_checks_need_a_stderr(tmp_path, capsys, experiment):
     one = tmp_path / "one.yaml"

@@ -1,10 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from conftest import traced_peaks
-from futopt import config_from_dict, run_experiment
+from futopt import (config_from_dict, log_optimal_closed_forms, relative_risk, run_experiment,
+                    run_filter_batch, simulate_batch)
 from futopt.experiments import _value_arbitration
 
 
@@ -104,13 +106,48 @@ def test_duality_report_schema(tmp_path):
 
 @pytest.mark.parametrize("market", ["p1", "p2"])
 def test_value_arbitration_memory_budget(market, request):
-    # In units of one (n_paths, N + 1, d) float array: the batch (5) plus
-    # the returns taken from it.  Every later stage runs on fewer arrays,
-    # since each is dropped once nothing reads it; keeping the batch, the
-    # filter history and the whole wealth path alive needs 10-13.
+    # In units of one (n_paths, N + 1, d) float array: building the batch
+    # (5.3).  The step loop keeps only R, dW and the (n_paths, N) quadratic
+    # forms (5.0); taking the returns and the whole filter history read 6.0,
+    # and keeping the batch and the whole wealth path alive needs 10-13.
     p = request.getfixturevalue(market).with_updates(n_steps=64)
     (peak,) = traced_peaks(lambda n, mark: _value_arbitration(p, 5, n, 1.0), p)
-    assert peak <= 7, peak
+    assert peak <= 5.5, peak
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("n_paths, p_cov0", [(300, None), (2, None), (300, 0.4)])
+@pytest.mark.parametrize("market", ["p1", "p2"])
+def test_streamed_arbitration_equals_whole_path_oracle(market, n_paths, p_cov0, seed, request):
+    # The step loop against the whole-batch filter, relative risk and closed forms
+    # on the same batch: bit for bit at d = 1, to rounding at d = 2.
+    p = request.getfixturevalue(market).with_updates(n_steps=64, m=0.2, r=0.03)
+    rep = _value_arbitration(p, seed, n_paths, 7.0, p_cov0)
+    batch = simulate_batch(p, np.random.SeedSequence(seed), n_paths)
+    theta = relative_risk(run_filter_batch(batch.delta_R(), p, p_cov0).beta_hat[:, : p.n_steps], p)
+    oracle = log_optimal_closed_forms(theta, batch.dW, p, 7.0)
+    for name in ("value_mc", "value_mc_stderr", "value_half", "value_flat", "flat_minus_mc", "xi_T"):
+        got, want = getattr(rep, name), getattr(oracle, name)
+        if p.d == 1:
+            assert np.array_equal(got, want), name
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
+    assert rep.xi_T.shape == (n_paths,)
+
+
+def test_duality_report_solves_nothing_larger_than_d_by_d(tmp_path, monkeypatch):
+    # The filter's gain solves are (d, d); relative risk applies an inverse
+    # instead of solving against every path and step at once.
+    sizes, real = [], np.linalg.solve
+
+    def recorded(a, b):
+        sizes.append(np.asarray(b).size)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    cfg = _cfg("duality-report", mc={"n_paths": 200, "seed": 2})
+    run_experiment(cfg, out_dir=tmp_path)
+    assert sizes and max(sizes) <= cfg.market.d ** 2
 
 
 def test_cost_sweep_rows_and_scaling(tmp_path):

@@ -23,8 +23,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 #: Public names kept although only tests call them: independent oracles
 #: (the return-form recursion, the first-order Z recursion, the primal
-#: solution of the utility problem) and the way in for observed prices.
-UNCALLED_ALLOWED = {"step_wealth", "martingale_recursion", "optimal_terminal_wealth", "ingest_prices"}
+#: solution of the utility problem, the whole-path log-optimal closed forms)
+#: and the way in for observed prices.
+UNCALLED_ALLOWED = {"step_wealth", "martingale_recursion", "optimal_terminal_wealth",
+                    "log_optimal_closed_forms", "ingest_prices"}
 
 
 @pytest.mark.parametrize("name", MODULES)

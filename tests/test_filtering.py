@@ -63,7 +63,7 @@ def test_recursive_filter_matches_gaussian_conditioning():
     delta_R = simulate_batch(p, 42, 1).delta_R()
     p_cov0 = np.array([[0.02]])
     beta_hat0 = np.array([0.05])
-    hist = run_filter_batch(delta_R, p, p_cov0=p_cov0, beta_hat0=beta_hat0)
+    hist = run_filter_batch(delta_R, p.with_updates(beta0=beta_hat0), p_cov0=p_cov0)
     oracle = gaussian_conditioning_oracle(p, delta_R[0], p_cov0, beta_hat0)
     assert hist.beta_hat[0, -1, 0] == pytest.approx(oracle, rel=1e-8)
 
@@ -82,7 +82,7 @@ def test_oracle_agreement_across_seeds():
 def test_perfectly_known_drift_has_zero_gain():
     p = _params(varsigma=0.0, alpha=-1.0, delta_t=0.1, beta0=0.1, n_steps=5)
     delta_R = simulate_batch(p, 0, 1).delta_R()
-    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=p.beta0)
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)))
     # beta_hat follows the deterministic recursion regardless of returns
     expected = 0.1 * 0.9 ** np.arange(6)
     assert np.allclose(hist.beta_hat[0, :, 0], expected, atol=1e-15)
@@ -92,7 +92,7 @@ def test_perfectly_known_drift_has_zero_gain():
 def test_one_step_estimate_hand_value():
     p = _params(varsigma=0.0, alpha=-1.0, delta_t=0.1, beta0=0.1, n_steps=1)
     delta_R = simulate_batch(p, 0, 1).delta_R()
-    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.array([0.1]))
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)))
     assert hist.beta_hat[0, 1, 0] == pytest.approx(0.09, abs=1e-15)
 
 
@@ -100,7 +100,7 @@ def test_innovation_hand_value():
     # d_nu = (dR - beta_pre dt) / sigma with the pre-update estimate
     p = _params(varsigma=0.0, alpha=0.0, beta0=0.08, n_steps=1)
     delta_R = np.array([[[0.01]]])
-    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.array([0.08]))
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)))
     assert hist.d_nu[0, 0, 0] == pytest.approx((0.01 - 0.08 / 252) / 0.2, rel=1e-12)
     assert hist.d_nu[0, 0, 0] == pytest.approx(0.0484127, abs=5e-8)
 
@@ -136,7 +136,7 @@ def test_frozen_drift_estimate_converges():
     for n in (100, 1_000, 10_000):
         pn = p.with_updates(n_steps=n)
         delta_R = simulate_batch(pn, 7, 1).delta_R()
-        hist = run_filter_batch(delta_R, pn, p_cov0=np.array([[0.05]]), beta_hat0=np.array([0.0]))
+        hist = run_filter_batch(delta_R, pn.with_updates(beta0=0.0), p_cov0=np.array([[0.05]]))
         gaps.append(abs(hist.beta_hat[0, -1, 0] - 0.08))
     assert gaps[2] < gaps[0]
 
@@ -150,7 +150,7 @@ def test_frozen_drift_matches_bayes_least_squares():
     p = _params(varsigma=0.0, alpha=0.0, beta0=0.08, n_steps=500)
     delta_R = simulate_batch(p, 19, 1).delta_R()
     p0, b0 = 0.05, 0.02
-    hist = run_filter_batch(delta_R, p, p_cov0=np.array([[p0]]), beta_hat0=np.array([b0]))
+    hist = run_filter_batch(delta_R, p.with_updates(beta0=b0), p_cov0=np.array([[p0]]))
 
     dt = p.delta_t
     obs_var = p.sigma[0, 0] ** 2 * dt
@@ -197,7 +197,7 @@ def test_diagnostics_on_injected_brownian_innovations():
     dW = np.sqrt(p.delta_t) * rng.standard_normal((p.n_steps, 1))
     delta_R = p.sigma[0, 0] * dW[None]  # beta = 0: returns are pure noise
     path = simulate_batch(p, 10, 1)
-    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)), beta_hat0=np.zeros(1))
+    hist = run_filter_batch(delta_R, p, p_cov0=np.zeros((1, 1)))
     rows = {(r[0], r[1]): (r[2], r[3]) for r in neutrality_diagnostics(hist, path, p)}
     mean, se = rows[("innovation_mean", "1")]
     assert abs(mean) <= 3.0 * se

@@ -7,6 +7,7 @@ from conftest import increments
 from futopt import (
     MarketParams,
     ModelError,
+    SingularModelError,
     build_measure_state,
     cap_relative_risk,
     change_measure,
@@ -51,6 +52,27 @@ def test_relative_risk_round_trip_d2():
     theta = relative_risk(beta_eff, p)
     back = theta @ (rho @ sigma).T
     assert np.allclose(back, beta_eff, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.3, 1.0 / 7.0, 3.0, 0.013])
+def test_relative_risk_bit_equal_to_solve_at_d1(sigma):
+    p = _params(sigma=sigma)
+    rows = np.array([[0.0], [-0.0], [1e-300], [-1e-300], [1e300], [-1e300], [0.08], [-3.7],
+                     [5e-324], [np.pi]])
+    rows = np.concatenate([rows, np.random.default_rng(1).normal(size=(500, 1))])
+    theta = relative_risk(rows, p)
+    solved = np.linalg.solve(p.rho @ p.sigma, rows.T).T
+    assert np.array_equal(theta, solved)
+    # The product accumulates from +0.0, so a -0.0 row comes back +0.0 where
+    # solve keeps the sign; every other row matches bit for bit.
+    signed = rows[:, 0] != 0.0
+    assert np.array_equal(theta[signed].view(np.int64), solved[signed].view(np.int64))
+
+
+def test_relative_risk_singular_rho_sigma_raises():
+    p = _params(d=2, sigma=np.ones((2, 2)), F0=np.array([100.0, 100.0]), beta0=np.zeros(2))
+    with pytest.raises(SingularModelError, match="rho sigma product"):
+        relative_risk(np.ones((3, 2)), p)
 
 
 def test_cap_rescales_rows_and_counts():
