@@ -71,6 +71,5 @@ from .wealth import (
     run_backtest,
     step_wealth,
     step_wealth_cash,
-    summary_dict,
     write_wealth_csv,
 )

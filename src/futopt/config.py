@@ -196,7 +196,7 @@ def _build_dataclass(cls, data: dict, section: str):
     for key, value in data.items():
         value = _coerce_numbers(value)
         where = f"{section}.{key}"
-        if key in _INT_FIELDS and value is not None:
+        if key in _INT_FIELDS and not (key == "workers" and value is None):
             value = _as_int(value, where)
         elif key in _FLOAT_FIELDS:
             # theta_max: .inf means no cap on the relative risk
@@ -265,6 +265,9 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
     if mc.n_paths < 1:
         raise ConfigError("mc.n_paths must be positive")
     strategy = _build_dataclass(StrategyConfig, _section(tree, "strategy"), "strategy")
+    for where, seed in (("mc.seed", mc.seed), ("strategy.seed", strategy.seed)):
+        if seed < 0:   # numpy seeds only from nonnegative integers
+            raise ConfigError(f"{where} must be nonnegative, got {seed}")
     if strategy.policy not in ("zero", "constant", "random", "log_optimal"):
         raise ConfigError(f"strategy.policy unknown: {strategy.policy!r}")
     if strategy.mode not in ("zero_cost", "soft_threshold", "literal"):

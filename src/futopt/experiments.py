@@ -35,7 +35,7 @@ from .utility import (
     power_utility,
     validate_utility,
 )
-from .wealth import run_backtest, summary_dict, write_wealth_csv
+from .wealth import EVENTS, realized_monetary_vol, run_backtest, write_wealth_csv
 
 __all__ = ["ExperimentResult", "run_experiment", "ingest_prices"]
 
@@ -175,30 +175,36 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
             batch, build_strategy(cfg), run_params, s.x0, beta_hat=beta_hat,
             cap=cap, integer_contracts=s.integer_contracts, theta_max=s.theta_max,
         )
-        if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked
-            # Scalars and path-0 reports come from chunk 0; no array outlives it.
-            summary.update(summary_dict(ledger, run_params, s.x0, s.h_window))
+        if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked: path 0's reports
+            summary["realized_monetary_vol"] = realized_monetary_vol(ledger, run_params, s.h_window)
             write_wealth_csv(ledger_csv, ledger)
             write_position_ledger(pos_csv, ledger.book, batch.F, ledger.t_grid)
         return {
             "terminal_wealth": ledger.X_T,
             "balance_HX": ledger.H_T * ledger.X_T,
             "dead": ledger.dead.astype(float),
+            **ledger.events,
         }
 
     stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
     artifacts = [str(ledger_csv), str(pos_csv)]
 
-    bal = stats["balance_HX"]
+    X_T, bal, dead = stats["terminal_wealth"], stats["balance_HX"], stats["dead"]
     summary.update(
         {
             "n_paths": bal.n,
-            "terminal_mean": stats["terminal_wealth"].mean,
-            "terminal_stderr": stats["terminal_wealth"].stderr,
-            "dead_fraction": stats["dead"].mean,
+            "x0": float(s.x0),
+            "terminal_mean": X_T.mean,
+            "terminal_stderr": X_T.stderr,
+            "terminal_std": X_T.std,
+            "terminal_min": X_T.lo,
+            "terminal_max": X_T.hi,
+            "dead_fraction": dead.mean,
+            "dead_paths": int(dead.total),
             "budget_mean_HX": bal.mean,
             "budget_stderr": bal.stderr,
             "budget_z_score": bal.z_score(s.x0),
+            **{name: int(stats[name].total) for name in EVENTS},
         }
     )
     summary_path = out / "summary.json"
@@ -442,6 +448,8 @@ def run_experiment(
     """
     use_seed = cfg.mc.seed if seed is None else int(seed)
     use_paths = cfg.mc.n_paths if n_paths is None else int(n_paths)
+    if use_seed < 0:
+        raise ConfigError(f"seed (--seed) must be nonnegative, got {use_seed}")
     if use_paths < 2 and cfg.experiment in _NEEDS_STDERR:
         raise ConfigError(f"{cfg.experiment} needs n_paths (--paths) >= 2, got {use_paths}: its checks "
                           "compare a mean with its standard error, which one path does not have")

@@ -1,9 +1,10 @@
-"""Deterministic chunked Monte Carlo with mergeable moment accumulators.
+"""Deterministic chunked Monte Carlo with mergeable accumulators.
 
 Work is split into fixed-size chunks of paths.  Each chunk derives its own
 generator from a spawned seed sequence keyed by the chunk index, and chunk
 results merge in index order through a numerically stable parallel-moments
-update.  The chunk layout depends only on (n_paths, chunk_size), never on
+update (Chan, Golub & LeVeque 1979) plus an exact total, minimum and
+maximum.  The chunk layout depends only on (n_paths, chunk_size), never on
 how many workers happened to execute the chunks, so the aggregate is
 bit-for-bit identical at any worker count.
 """
@@ -15,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "RunningMoments",
@@ -31,26 +34,34 @@ WORKERS_ENV_VAR = "FUTOPT_WORKERS"
 
 @dataclass
 class RunningMoments:
-    """Streaming mean and second central moment, mergeable across chunks."""
+    """Streaming mean and second central moment, mergeable across chunks.
+
+    total, lo and hi are the plain sum, minimum and maximum; they merge
+    exactly, and so does total for integer counts below 2**53.
+    """
 
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
+    total: float = 0.0
+    lo: float = np.inf
+    hi: float = -np.inf
 
     def update(self, samples: np.ndarray) -> None:
         samples = np.asarray(samples, dtype=float).ravel()
         if samples.size == 0:
             return
-        other = RunningMoments(
-            n=samples.size,
-            mean=float(samples.mean()),
-            m2=float(((samples - samples.mean()) ** 2).sum()),
-        )
-        self.merge(other)
+        mean = samples.mean()
+        self.merge(RunningMoments(
+            n=samples.size, mean=float(mean), m2=float(((samples - mean) ** 2).sum()),
+            total=float(samples.sum()), lo=float(samples.min()), hi=float(samples.max()),
+        ))
 
     def merge(self, other: "RunningMoments") -> None:
         if other.n == 0:
             return
+        self.total += other.total
+        self.lo, self.hi = min(self.lo, other.lo), max(self.hi, other.hi)
         if self.n == 0:
             self.n, self.mean, self.m2 = other.n, other.mean, other.m2
             return
@@ -84,7 +95,7 @@ def resolve_workers(config_value: int | None = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if config_value:
         return max(1, int(config_value))
     return 1

@@ -20,7 +20,7 @@ absorbed at zero and stays there.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,10 @@ __all__ = [
     "run_backtest",
     "realized_monetary_vol",
     "write_wealth_csv",
-    "summary_dict",
 ]
+
+#: The per-path event counts run_backtest keeps, by summary.json field name.
+EVENTS = ("admissibility_violations", "clip_events", "cash_cost_fallbacks")
 
 
 def step_wealth(
@@ -92,12 +94,13 @@ class WealthLedger:
 
     X and the book hold path 0 only, as a batch of one, so their size does
     not grow with the number of paths.  X_T, dead and events cover every
-    path; events is a list of (path, step, kind) tuples for clip, zero-cost
-    fallback and admissibility incidents.  When run_backtest is asked for
-    the state price density, it sets H_T and n_capped for every path, and
-    gamma and H, path 0's discount factor and density over the grid, from
-    the same step loop; otherwise they stay None.  Nothing else per path is
-    kept: the loop reads the filter's estimates a row at a time.
+    path; events maps each name in EVENTS to (n_paths,) int counts: the
+    step (at most one) whose wealth would have gone below zero, and the
+    (step, asset) position clips and cash-cost fallbacks.  When run_backtest
+    is asked for the state price density, it sets H_T and n_capped for every
+    path, and gamma and H, path 0's discount factor and density over the
+    grid, from the same step loop; otherwise they stay None.  Nothing else
+    per path is kept: the loop reads the filter's estimates a row at a time.
     """
 
     t_grid: np.ndarray
@@ -105,7 +108,7 @@ class WealthLedger:
     book: PositionBook                # (1, N, d) arrays, path 0
     X_T: np.ndarray                   # (n_paths,)
     dead: np.ndarray                  # (n_paths,) bool, absorbed at zero
-    events: list[tuple[int, int, str]] = field(default_factory=list)
+    events: dict[str, np.ndarray]     # EVENTS name -> (n_paths,) int
     H_T: np.ndarray | None = None     # (n_paths,), gamma_N Z_N
     n_capped: int = 0                 # theta rows scaled back onto the cap
     gamma: np.ndarray | None = None   # (N + 1,)
@@ -135,8 +138,9 @@ def run_backtest(
 
     The ledger keeps the full per-step record (X and the position book) for
     path 0 only, and for every path the terminal wealth X_T, the absorption
-    flags and the event list.  Step n reads row n of F, beta, dW and the
-    filter's estimates: contiguous, with no copy, in a step-major batch.
+    flags and the event counts, added to once per step.  Step n reads row n
+    of F, beta, dW and the filter's estimates: contiguous, with no copy, in a
+    step-major batch.
 
     Given theta_max (np.inf for no cap) and a batch with latent beta and
     dW, the loop also builds the terminal state price density H_T = gamma_N
@@ -178,7 +182,7 @@ def run_backtest(
     cash_hist = np.zeros((n, d))
     clip_hist = np.zeros((n, d), dtype=bool)
     C_hist = np.zeros((n, d))
-    events: list[tuple[int, int, str]] = []
+    events = {name: np.zeros(n_paths, dtype=np.int64) for name in EVENTS}
 
     density = theta_max is not None and paths.beta is not None and paths.dW is not None
     if density:
@@ -212,14 +216,9 @@ def run_backtest(
         delta_F = F_steps[i + 1] - F_i
         X_next, violated = step_wealth_cash(X, P, P_prev, delta_F, params)
 
-        for p_idx in np.flatnonzero(violated & ~dead):
-            events.append((int(p_idx), i, "admissibility"))
-        if np.any(clipped):
-            for p_idx, a_idx in zip(*np.nonzero(clipped)):
-                events.append((int(p_idx), i, f"clip:{a_idx + 1}"))
-        if np.any(flagged):
-            for p_idx, a_idx in zip(*np.nonzero(flagged)):
-                events.append((int(p_idx), i, f"cash_cost_fallback:{a_idx + 1}"))
+        events["admissibility_violations"] += violated & ~dead
+        events["clip_events"] += np.count_nonzero(clipped, axis=1)
+        events["cash_cost_fallbacks"] += np.count_nonzero(flagged, axis=1)
 
         if density:
             theta = relative_risk(beta_lat[i] - np.nan_to_num(c_tilde, nan=0.0), params)
@@ -317,30 +316,3 @@ def write_wealth_csv(path: str | Path, ledger: WealthLedger) -> None:
                 else:
                     row += [""] * 5
             writer.writerow(row)
-
-
-def summary_dict(
-    ledger: WealthLedger,
-    params: MarketParams,
-    x0: float,
-    h_window: int = 20,
-) -> dict:
-    """Aggregate statistics for the summary JSON artifact.
-
-    Terminal statistics and event counts cover every path of the ledger.
-    """
-    X_T = ledger.X_T
-    n_paths = X_T.shape[0]
-    return {
-        "n_paths": int(n_paths),
-        "x0": float(x0),
-        "terminal_mean": float(X_T.mean()),
-        "terminal_std": float(X_T.std(ddof=1)) if n_paths > 1 else 0.0,
-        "terminal_min": float(X_T.min()),
-        "terminal_max": float(X_T.max()),
-        "admissibility_violations": sum(1 for _, _, kind in ledger.events if kind == "admissibility"),
-        "clip_events": sum(1 for _, _, kind in ledger.events if kind.startswith("clip")),
-        "cash_cost_fallbacks": sum(1 for _, _, kind in ledger.events if kind.startswith("cash_cost_fallback")),
-        "dead_paths": int(np.count_nonzero(ledger.dead)),
-        "realized_monetary_vol": realized_monetary_vol(ledger, params, h_window),
-    }

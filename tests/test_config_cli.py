@@ -331,6 +331,10 @@ def test_oversized_d_fails_fast_naming_d_and_the_limit(tmp_path, capsys):
     ("mc", "n_paths", "abc"),
     ("mc", "n_paths", 1.5),
     ("mc", "seed", True),
+    ("mc", "seed", -3),          # numpy seeds only from nonnegative integers
+    ("mc", "seed", None),
+    ("strategy", "seed", -2),
+    ("strategy", "h_window", None),
     ("market", "d", "two"),
     ("market", "n_steps", 2.5),
 ])
@@ -338,11 +342,30 @@ def test_cli_bad_integer_fields_exit_2_naming_the_field(tmp_path, capsys, sectio
     import yaml
 
     tree = yaml.safe_load(MINI_YAML)
-    tree[section][key] = value
+    tree.setdefault(section, {})[key] = value
+    if section == "strategy":
+        tree[section]["policy"] = "random"
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(tree))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert f"{section}.{key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "Traceback" not in err
+
+
+def test_cli_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text(MINI_YAML)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_bad_workers_variable_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text(MINI_YAML)
+    monkeypatch.setenv("FUTOPT_WORKERS", "abc")
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FUTOPT_WORKERS must be an integer") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("section, key, value", [

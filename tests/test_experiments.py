@@ -325,28 +325,28 @@ def test_strategy_p_cov0_reaches_every_filter(tmp_path, experiment, artifact):
 
 
 def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
-    import numpy as np
-
     from dataclasses import replace
 
-    from futopt import (build_batch, build_measure_state, build_strategy, relative_risk, run_backtest,
-                        simulate_batch, summary_dict)
-    from futopt.montecarlo import DEFAULT_CHUNK
+    from futopt import (build_batch, build_measure_state, build_strategy, chunk_layout,
+                        realized_monetary_vol, relative_risk, run_backtest, simulate_batch)
     from futopt.trading import write_position_ledger
     from futopt.wealth import write_wealth_csv
 
-    cfg = _cfg("backtest", mc=TWO_CHUNKS)
+    # gearing and a cap that bind on part of the steps: every event kind fires
+    cfg = _cfg("backtest", mc=TWO_CHUNKS, strategy={"x0": 3000.0, "caps": 20.0, "gearing": 40.0})
     run_experiment(cfg, out_dir=tmp_path / "run")
 
-    # chunk 0 rebuilt serially, as the first child of the root seed sequence
-    s, p = cfg.strategy, cfg.market
-    seed_seq = np.random.SeedSequence(TWO_CHUNKS["seed"]).spawn(1)[0]
-    batch = simulate_batch(p, seed_seq, min(DEFAULT_CHUNK, TWO_CHUNKS["n_paths"]))
-    ledger = run_backtest(batch, build_strategy(cfg), p, s.x0, theta_max=s.theta_max)
+    # every chunk rebuilt serially, chunk i as the i-th child of the root seed sequence
+    s = cfg.strategy
+    p, cap = cfg.market.with_updates(k=np.asarray(s.gearing, float)), np.asarray(s.caps, float)
+    layout = chunk_layout(TWO_CHUNKS["n_paths"])
+    children = np.random.SeedSequence(TWO_CHUNKS["seed"]).spawn(len(layout))
+    batches = [simulate_batch(p, child, size) for child, (_, size) in zip(children, layout)]
+    ledgers = [run_backtest(b, build_strategy(cfg), p, s.x0, cap=cap, theta_max=s.theta_max) for b in batches]
     # path 0 alone, as a batch of one from its own increments, with its
     # density built on the whole path from the costs it paid
-    one = build_batch(p, batch.dW[:1], batch.dW2[:1])
-    one_ledger = run_backtest(one, build_strategy(cfg), p, s.x0)
+    one = build_batch(p, batches[0].dW[:1], batches[0].dW2[:1])
+    one_ledger = run_backtest(one, build_strategy(cfg), p, s.x0, cap=cap)
     theta = relative_risk(one.beta[:, : p.n_steps] - np.nan_to_num(one_ledger.book.c_tilde, nan=0.0), p)
     ms = build_measure_state(theta, one.dW, p, s.theta_max)
     oracle = tmp_path / "oracle"
@@ -356,10 +356,25 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     for name in ("ledger_0000.csv", "positions_0000.csv"):
         assert _read_csv(tmp_path / "run" / name) == _read_csv(oracle / name)
 
+    # every other summary field covers all paths of both chunks
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    expected = summary_dict(ledger, p, s.x0, s.h_window)
-    for key in ("x0", "terminal_std", "terminal_min", "terminal_max",
-                "admissibility_violations", "clip_events", "cash_cost_fallbacks",
-                "dead_paths", "realized_monetary_vol"):
-        assert summary[key] == expected[key], key
-    assert summary["n_paths"] == TWO_CHUNKS["n_paths"]
+    X_T = np.concatenate([led.X_T for led in ledgers])
+    HX = np.concatenate([led.H_T * led.X_T for led in ledgers])
+    dead = np.concatenate([led.dead for led in ledgers])
+    n = TWO_CHUNKS["n_paths"]
+    counts = {name: sum(int(led.events[name].sum()) for led in ledgers)
+              for name in ("admissibility_violations", "clip_events", "cash_cost_fallbacks")}
+    assert all(c > 0 for c in counts.values()), counts
+    assert 0 < counts["clip_events"] < n * p.n_steps
+    exact = {"n_paths": n, "x0": s.x0, "terminal_min": X_T.min(), "terminal_max": X_T.max(),
+             "dead_paths": int(dead.sum()), **counts,
+             "realized_monetary_vol": realized_monetary_vol(ledgers[0], p, s.h_window)}
+    close = {"terminal_std": X_T.std(ddof=1), "terminal_mean": X_T.mean(),
+             "terminal_stderr": X_T.std(ddof=1) / np.sqrt(n), "dead_fraction": dead.mean(),
+             "budget_mean_HX": HX.mean(), "budget_stderr": HX.std(ddof=1) / np.sqrt(n),
+             "budget_z_score": (HX.mean() - s.x0) / (HX.std(ddof=1) / np.sqrt(n))}
+    assert set(summary) == set(exact) | set(close)
+    for key, value in exact.items():
+        assert summary[key] == value, key
+    for key, value in close.items():
+        assert summary[key] == pytest.approx(value, rel=1e-12), key

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from futopt import RunningMoments, chunk_layout, resolve_workers, run_chunked
+from futopt import ConfigError, RunningMoments, chunk_layout, resolve_workers, run_chunked
 from futopt.montecarlo import WORKERS_ENV_VAR
 
 
@@ -31,6 +31,24 @@ def test_moment_merge_is_exact():
     assert pieces.variance == pytest.approx(whole.variance, rel=1e-12)
 
 
+def test_total_min_max_merge_exactly_over_uneven_chunks():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(10_007) * 1e3
+    counts = rng.integers(0, 2**40, 10_007).astype(float)   # integer sums stay below 2**53
+    for data in (x, counts):
+        merged = RunningMoments()
+        for part in np.split(data, [1, 10, 4000, 4000, 9999]):
+            merged.update(part)
+        assert merged.n == data.size
+        assert merged.lo == data.min() and merged.hi == data.max()
+        if data is counts:
+            assert merged.total == int(counts.astype(np.int64).sum())
+        else:
+            assert merged.total == pytest.approx(data.sum(), rel=1e-12)
+    empty = RunningMoments()
+    assert empty.total == 0.0 and empty.lo == np.inf and empty.hi == -np.inf
+
+
 def test_z_score_sign_convention():
     m = RunningMoments()
     m.update(np.full(100, 2.0) + np.linspace(-0.1, 0.1, 100))
@@ -55,7 +73,7 @@ def test_resolve_workers_priority(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "5")
     assert resolve_workers(3) == 5
     monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
-    with pytest.raises(ValueError, match="FUTOPT_WORKERS must be an integer"):
+    with pytest.raises(ConfigError, match="FUTOPT_WORKERS must be an integer"):
         resolve_workers(None)
 
 
