@@ -71,5 +71,4 @@ from .wealth import (
     run_backtest,
     step_wealth,
     step_wealth_cash,
-    write_wealth_csv,
 )

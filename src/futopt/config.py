@@ -185,6 +185,7 @@ _FLOAT_FIELDS = {"x0", "theta_max", "bound", "P_prev", "P_now"}
 _LIST_FIELDS = {"formats", "delta_ts"}
 _ARRAY_FIELDS = {"p_cov0", "caps", "gearing", "const_weights"}
 _BOOL_FIELDS = {"integer_contracts", "literal_product"}
+_MAX_BOUND = np.finfo(float).max / 2
 
 
 def _build_dataclass(cls, data: dict, section: str):
@@ -276,6 +277,10 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         raise ConfigError("strategy.x0 must be nonnegative")
     if strategy.theta_max <= 0:
         raise ConfigError("strategy.theta_max must be positive")
+    if not 0 <= strategy.bound <= _MAX_BOUND:   # numpy draws from [-bound, bound] only on a finite width
+        raise ConfigError(f"strategy.bound must be in [0, {_MAX_BOUND:.6g}], got {strategy.bound!r}")
+    if strategy.h_window < 2:   # a standard deviation needs two returns
+        raise ConfigError(f"strategy.h_window must be at least 2, got {strategy.h_window}")
     shaped = {}
     for key, as_shape in (("p_cov0", _as_matrix), ("caps", _as_vector), ("gearing", _as_vector),
                           ("const_weights", _as_vector)):
@@ -295,8 +300,9 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         raise ConfigError("strategy.caps must be nonnegative")
     outputs = _build_dataclass(OutputConfig, _section(tree, "outputs"), "outputs")
     sweep = _build_dataclass(CostSweepConfig, _section(tree, "cost_sweep"), "cost_sweep")
-    if any(dt <= 0 for dt in sweep.delta_ts):
-        raise ConfigError("cost_sweep.delta_ts must be positive")
+    if not sweep.delta_ts or any(dt <= 0 for dt in sweep.delta_ts):
+        raise ConfigError(f"cost_sweep.delta_ts must be a nonempty list of positive numbers, "
+                          f"got {list(sweep.delta_ts)}")
 
     raw = {
         "experiment": experiment,

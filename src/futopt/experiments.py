@@ -1,10 +1,10 @@
 """Experiment drivers behind the CLI: each one turns a config into artifacts.
 
 Every run writes its numeric artifacts plus a manifest recording the config
-hash, seed, and library versions.  Artifacts are formatted with full float
-precision and fixed row order, so a rerun with the same config and seed is
-byte-identical regardless of worker count; the manifest's timestamp is the
-only field allowed to differ.
+hash, seed, and library versions.  This module is the only artifact writer:
+every CSV goes through _write_csv, with full float precision and fixed row
+order, so a rerun with the same config and seed is byte-identical regardless
+of worker count; the manifest's timestamp is the only field allowed to differ.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .market import PathBatch, returns_from_prices, simulate_batch
 from .measure import build_measure_state, relative_risk, zeta_projection
 from .montecarlo import chunk_layout, run_chunked
 from .strategies import LaggedEstimateStrategy, LogOptimalStrategy, MaskedStrategy, ScaledStrategy
-from .trading import cost_term, write_position_ledger
+from .trading import cost_term
 from .utility import (
     conjugate,
     conjugate_grid_sup,
@@ -35,7 +35,7 @@ from .utility import (
     power_utility,
     validate_utility,
 )
-from .wealth import EVENTS, realized_monetary_vol, run_backtest, write_wealth_csv
+from .wealth import EVENTS, WealthLedger, realized_monetary_vol, run_backtest
 
 __all__ = ["ExperimentResult", "run_experiment", "ingest_prices"]
 
@@ -68,6 +68,63 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write the header, then each row; float cells as repr(float(v)), which
+    round-trips exactly (numpy 2 would print a bare np.float64 as its repr)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    return path
+
+
+def _path_rows(batch: PathBatch, i: int) -> tuple[list[str], list]:
+    """Path i as (time, F_1..F_d, R_1..R_d, beta_1..beta_d) rows; the beta
+    cells stay empty on a batch without latent beta (ingested prices)."""
+    d = batch.d
+    header = ["time"] + [f"{name}_{j + 1}" for name in ("F", "R", "beta") for j in range(d)]
+    cols = [batch.t_grid[:, None], batch.F[i], batch.R[i]]
+    if batch.beta is None:
+        return header, [row + [""] * d for row in np.hstack(cols).tolist()]
+    return header, np.hstack(cols + [batch.beta[i]]).tolist()
+
+
+_BOOK_COLUMNS = ("weight", "position", "trade", "cost_relative", "cost_cash")
+
+
+def _book_floats(ledger: WealthLedger) -> np.ndarray:
+    """Path 0's (N, d, 5) weights, positions, trades, relative and cash costs."""
+    b = ledger.book
+    return np.stack([b.pi[0], b.P[0], b.trade[0], b.c_tilde[0], b.cash_cost[0]], axis=-1)
+
+
+def _ledger_rows(ledger: WealthLedger) -> tuple[list[str], list]:
+    """Path 0 per time: wealth, gamma X and H X (NaN without a density), then
+    the book's five columns per asset, empty on the last row."""
+    X = ledger.X[0]
+    n, d = X.shape[0] - 1, ledger.book.P.shape[-1]
+    nan = np.full(n + 1, np.nan)
+    gamma_X = ledger.gamma * X if ledger.gamma is not None else nan
+    H_X = ledger.H * X if ledger.H is not None else nan
+    header = ["time", "wealth", "discounted_wealth", "H_wealth"]
+    header += [f"{name}_{j + 1}" for j in range(d) for name in _BOOK_COLUMNS]
+    front = np.column_stack([ledger.t_grid, X, gamma_X, H_X])
+    rows = np.hstack([front[:n], _book_floats(ledger).reshape(n, 5 * d)]).tolist()
+    return header, rows + [front[n].tolist() + [""] * (5 * d)]
+
+
+def _position_rows(ledger: WealthLedger, F: np.ndarray) -> tuple[list[str], list]:
+    """Path 0 in long format, one row per (time, asset), time-major; F is the
+    batch's (n_paths, N + 1, d) prices."""
+    book = ledger.book
+    _, n, d = book.P.shape
+    floats = np.concatenate([F[0, :n, :, None], book.C[0, :, :, None], _book_floats(ledger)], axis=-1)
+    cells = zip(np.repeat(ledger.t_grid[:n], d).tolist(), np.tile(np.arange(1, d + 1), n).tolist(),
+                floats.reshape(n * d, 7).tolist(), book.clipped[0].reshape(-1).astype(int).tolist())
+    header = ["time", "asset", "price", "contract_price", *_BOOK_COLUMNS, "clipped"]
+    return header, [[t, j, *f, c] for t, j, f, c in cells]
 
 
 def _manifest(cfg: ScenarioConfig, out: Path, n_paths: int, seed: int) -> Path:
@@ -146,21 +203,24 @@ def _run_simulate(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         batch = simulate_batch(params, child, size)
         guard_total += int(batch.guard_events.sum())
         for i in range(size):
-            p = out / f"path_{start + i:04d}.csv"
-            batch.to_csv(p, i)
-            artifacts.append(str(p))
+            artifacts.append(str(_write_csv(out / f"path_{start + i:04d}.csv", *_path_rows(batch, i))))
     frac = guard_total / (n_paths * params.n_steps * params.d)
     checks = [_check("positivity_guard_fraction", frac <= params.guard_warn_fraction,
                      f"guard events on {frac:.3g} of steps")]
-    artifacts.append(str(_manifest(cfg, out, n_paths, seed)))
     return ExperimentResult(artifacts, checks)
 
 
-def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
-    params = cfg.market
+def _trading_setup(cfg: ScenarioConfig):
+    """The market as the strategy trades it, strategy.gearing as k, and the
+    position caps (None without strategy.caps)."""
     s = cfg.strategy
-    cap = None if s.caps is None else np.asarray(s.caps, dtype=float)
-    run_params = params if s.gearing is None else params.with_updates(k=np.asarray(s.gearing, float))
+    params = cfg.market if s.gearing is None else cfg.market.with_updates(k=np.asarray(s.gearing, float))
+    return params, None if s.caps is None else np.asarray(s.caps, dtype=float)
+
+
+def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
+    s = cfg.strategy
+    run_params, cap = _trading_setup(cfg)
 
     summary: dict = {}
     ledger_csv = out / "ledger_0000.csv"
@@ -177,8 +237,8 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
         )
         if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked: path 0's reports
             summary["realized_monetary_vol"] = realized_monetary_vol(ledger, run_params, s.h_window)
-            write_wealth_csv(ledger_csv, ledger)
-            write_position_ledger(pos_csv, ledger.book, batch.F, ledger.t_grid)
+            _write_csv(ledger_csv, *_ledger_rows(ledger))
+            _write_csv(pos_csv, *_position_rows(ledger, batch.F))
         return {
             "terminal_wealth": ledger.X_T,
             "balance_HX": ledger.H_T * ledger.X_T,
@@ -210,7 +270,6 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     summary_path = out / "summary.json"
     _write_json(summary_path, summary)
     artifacts.append(str(summary_path))
-    artifacts.append(str(_manifest(cfg, out, n_paths, seed)))
 
     checks = [_check("budget_balance", bal.mean - s.x0 <= max(3.0 * bal.stderr, 1e-9 * s.x0),
                      f"E[H X] = {bal.mean:.6g} vs x0 = {s.x0:.6g} (z = {bal.z_score(s.x0):.2f})")]
@@ -256,14 +315,9 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
     max_gap = max(zeta_gaps) if zeta_gaps else 0.0
     checks.append(_check("zeta_recursion_gap", max_gap < 1e-4, f"max relative gap {max_gap:.3g}"))
 
-    report = out / "measure_report.csv"
-    with open(report, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "n_paths", "mean", "stderr", "target", "z_score"])
-        for name, n_p, mean, se, target, z in sorted(rows):
-            writer.writerow([name, n_p, repr(mean), repr(se), repr(float(target)), repr(z)])
-
-    return ExperimentResult([str(report), str(_manifest(cfg, out, n_paths, seed))], checks)
+    report = _write_csv(out / "measure_report.csv",
+                        ["quantity", "n_paths", "mean", "stderr", "target", "z_score"], sorted(rows))
+    return ExperimentResult([str(report)], checks)
 
 
 def _value_arbitration(params, seed: int, n_paths: int, x0: float, p_cov0=None):
@@ -326,7 +380,7 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
 
     path = out / "duality.json"
     _write_json(path, report)
-    return ExperimentResult([str(path), str(_manifest(cfg, out, n_paths, seed))], checks)
+    return ExperimentResult([str(path)], checks)
 
 
 def _run_cost_sweep(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -343,12 +397,8 @@ def _run_cost_sweep(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> 
         for j in range(params.d):
             rows.append((float(dt), j + 1, float(c_tilde[j]), float(c_tilde[j] * dt)))
 
-    path = out / "cost_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_t", "asset", "cost_relative", "cost_times_delta_t"])
-        for dt, asset, c, cdt in rows:
-            writer.writerow([repr(dt), asset, repr(c), repr(cdt)])
+    path = _write_csv(out / "cost_sweep.csv",
+                      ["delta_t", "asset", "cost_relative", "cost_times_delta_t"], rows)
 
     # 1/dt proportionality: c_tilde * dt must be flat across the sweep.
     ok = True
@@ -358,7 +408,7 @@ def _run_cost_sweep(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> 
         if any(abs(p - ref) > 1e-12 * abs(ref) for p in prods):
             ok = False
     checks = [_check("cost_inverse_dt_scaling", ok, "c_tilde * delta_t constant across the sweep")]
-    return ExperimentResult([str(path), str(_manifest(cfg, out, n_paths, seed))], checks)
+    return ExperimentResult([str(path)], checks)
 
 
 def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -368,7 +418,7 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
     its paths on that one estimate (common random numbers), so each gap to
     the base is a mean of paired differences, far tighter than either stderr.
     """
-    params = cfg.market
+    params, cap = _trading_setup(cfg)
     s = cfg.strategy
 
     def base():
@@ -392,7 +442,8 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
         beta_hat = run_filter_batch(batch.delta_R(), params, s.p_cov0).beta_hat
         res = {}
         for name, make in policies.items():
-            X_T = run_backtest(batch, make(), params, s.x0, beta_hat=beta_hat).X_T
+            X_T = run_backtest(batch, make(), params, s.x0, beta_hat=beta_hat,
+                               cap=cap, integer_contracts=s.integer_contracts).X_T
             res[f"u:{name}"] = np.log(np.maximum(X_T, 1e-300))   # dead paths: log -> -inf guard
         for name in perturbed:
             res[f"diff:{name}"] = res["u:base"] - res[f"u:{name}"]
@@ -400,13 +451,9 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
 
     stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
 
-    path = out / "optimality_probe.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "n_paths", "mean_utility", "stderr"])
-        for name in policies:
-            m = stats[f"u:{name}"]
-            writer.writerow([name, m.n, repr(m.mean), repr(m.stderr)])
+    utility = {name: stats[f"u:{name}"] for name in policies}
+    path = _write_csv(out / "optimality_probe.csv", ["policy", "n_paths", "mean_utility", "stderr"],
+                      [[name, m.n, m.mean, m.stderr] for name, m in utility.items()])
 
     diffs, checks = {}, []
     for name in perturbed:
@@ -420,8 +467,7 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
     summary_path = out / "probe_summary.json"
     _write_json(summary_path, diffs)
 
-    artifacts = [str(path), str(summary_path), str(_manifest(cfg, out, n_paths, seed))]
-    return ExperimentResult(artifacts, checks)
+    return ExperimentResult([str(path), str(summary_path)], checks)
 
 
 _RUNNERS = {
@@ -456,8 +502,8 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else cfg.outputs.dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    runner = _RUNNERS[cfg.experiment]
-    result = runner(cfg, out, use_seed, use_paths)
+    result = _RUNNERS[cfg.experiment](cfg, out, use_seed, use_paths)
+    result.artifacts.append(str(_manifest(cfg, out, use_paths, use_seed)))
 
     if result.status != 0:
         failure = out / "failure_summary.json"

@@ -23,9 +23,7 @@ at 8192 x 252).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,30 +72,6 @@ class PathBatch:
 
     def delta_R(self) -> np.ndarray:
         return np.diff(self.R, axis=1)      # in R's memory order: step-major if built here
-
-    def to_csv(self, path: str | Path, i: int) -> None:
-        """Write path i as (time, F_1..F_d, R_1..R_d, beta_1..beta_d) rows."""
-        d = self.d
-        header = (
-            ["time"]
-            + [f"F_{j + 1}" for j in range(d)]
-            + [f"R_{j + 1}" for j in range(d)]
-            + [f"beta_{j + 1}" for j in range(d)]
-        )
-        F, R = self.F[i], self.R[i]
-        beta = None if self.beta is None else self.beta[i]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for n in range(self.n_steps + 1):
-                row = [repr(float(self.t_grid[n]))]
-                row += [repr(float(v)) for v in F[n]]
-                row += [repr(float(v)) for v in R[n]]
-                if beta is not None:
-                    row += [repr(float(v)) for v in beta[n]]
-                else:
-                    row += [""] * d
-                writer.writerow(row)
 
 
 # -- increment generation ---------------------------------------------------

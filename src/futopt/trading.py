@@ -27,7 +27,6 @@ __all__ = [
     "cost_term",
     "payoff_transform",
     "log_optimal_factor",
-    "write_position_ledger",
 ]
 
 #: Positions smaller than this many contracts cannot anchor a relative cost.
@@ -154,32 +153,3 @@ class PositionBook:
     c_tilde: np.ndarray      # (n_paths, N, d) relative cost, NaN where flagged
     cash_cost: np.ndarray    # (n_paths, N, d) cash slippage paid
     clipped: np.ndarray      # (n_paths, N, d) bool
-
-
-def write_position_ledger(path, book: PositionBook, F: np.ndarray, t_grid: np.ndarray) -> None:
-    """Long-format CSV of path 0: one row per (time, asset); F is (n_paths, N + 1, d)."""
-    import csv
-
-    _, n, d = book.P.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time", "asset", "price", "contract_price", "weight", "position",
-             "trade", "cost_relative", "cost_cash", "clipped"]
-        )
-        for i in range(n):
-            for j in range(d):
-                writer.writerow(
-                    [
-                        repr(float(t_grid[i])),
-                        j + 1,
-                        repr(float(F[0, i, j])),
-                        repr(float(book.C[0, i, j])),
-                        repr(float(book.pi[0, i, j])),
-                        repr(float(book.P[0, i, j])),
-                        repr(float(book.trade[0, i, j])),
-                        repr(float(book.c_tilde[0, i, j])),
-                        repr(float(book.cash_cost[0, i, j])),
-                        int(book.clipped[0, i, j]),
-                    ]
-                )

@@ -19,9 +19,7 @@ absorbed at zero and stays there.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "step_wealth_cash",
     "run_backtest",
     "realized_monetary_vol",
-    "write_wealth_csv",
 ]
 
 #: The per-path event counts run_backtest keeps, by summary.json field name.
@@ -279,40 +276,3 @@ def realized_monetary_vol(ledger: WealthLedger, params: MarketParams, window: in
     w = min(window, n)
     tail = rets[-w:]
     return float(tail.std(ddof=1) / np.sqrt(params.delta_t)) if w > 1 else 0.0
-
-
-def write_wealth_csv(path: str | Path, ledger: WealthLedger) -> None:
-    """Per-time CSV of path 0: wealth, discounted wealth, per-asset columns.
-
-    gamma X and H X take path 0's gamma and H from the ledger, as run_backtest's
-    step loop built them; both columns are NaN when the ledger has no density.
-    """
-    X = ledger.X[0]
-    n = X.shape[0] - 1
-    book = ledger.book
-    d = book.P.shape[-1]
-    gamma_X = ledger.gamma * X if ledger.gamma is not None else np.full(n + 1, np.nan)
-    H_X = ledger.H * X if ledger.H is not None else np.full(n + 1, np.nan)
-
-    header = ["time", "wealth", "discounted_wealth", "H_wealth"]
-    for j in range(d):
-        header += [f"weight_{j + 1}", f"position_{j + 1}", f"trade_{j + 1}",
-                   f"cost_relative_{j + 1}", f"cost_cash_{j + 1}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n + 1):
-            row = [repr(float(ledger.t_grid[i])), repr(float(X[i])),
-                   repr(float(gamma_X[i])), repr(float(H_X[i]))]
-            for j in range(d):
-                if i < n:
-                    row += [
-                        repr(float(book.pi[0, i, j])),
-                        repr(float(book.P[0, i, j])),
-                        repr(float(book.trade[0, i, j])),
-                        repr(float(book.c_tilde[0, i, j])),
-                        repr(float(book.cash_cost[0, i, j])),
-                    ]
-                else:
-                    row += [""] * 5
-            writer.writerow(row)

@@ -341,32 +341,39 @@ strategy:
 """
 
 
+def _artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file under out by relative name; the manifest without created_at."""
+    blobs = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("created_at")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        blobs[str(path.relative_to(out))] = data
+    return blobs
+
+
 def test_c11_artifacts_deterministic_across_workers(tmp_path):
-    """CLI reruns are byte-identical for any worker count; only the manifest
-    timestamp may differ."""
+    """CLI reruns of every chunked experiment write the same files with the
+    same bytes for any worker count; only the manifest timestamp may differ."""
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(CFG_YAML)
-    outs = []
-    for name, workers in (("w1", "1"), ("w4", "4"), ("w4b", "4")):
-        out = tmp_path / name
-        env = dict(os.environ, FUTOPT_WORKERS=workers)
-        proc = subprocess.run(
-            [sys.executable, "-m", "futopt", "backtest",
-             "--config", str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-
-    ok = True
-    for fname in ("ledger_0000.csv", "positions_0000.csv", "summary.json"):
-        blobs = [(o / fname).read_bytes() for o in outs]
-        ok &= blobs[0] == blobs[1] == blobs[2]
-    manifests = []
-    for o in outs:
-        m = json.loads((o / "manifest.json").read_text())
-        m.pop("created_at")
-        manifests.append(m)
-    ok &= manifests[0] == manifests[1] == manifests[2]
+    ok, details = True, []
+    for experiment in ("backtest", "verify-measure", "optimality-probe"):
+        runs = []
+        for name, workers in (("w1", "1"), ("w4", "4"), ("w4b", "4")):
+            out = tmp_path / experiment / name
+            env = dict(os.environ, FUTOPT_WORKERS=workers)
+            proc = subprocess.run(
+                [sys.executable, "-m", "futopt", experiment,
+                 "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(_artifact_bytes(out))
+        same = "manifest.json" in runs[0] and runs[0] == runs[1] == runs[2]
+        ok &= same
+        details.append(f"{experiment} {len(runs[0])} files {'identical' if same else 'DIFFER'}")
     _verdict("C11 byte-identical artifacts at any worker count", ok,
-             "1 vs 4 workers, three runs compared")
+             "1 vs 4 workers, three runs each: " + ", ".join(details))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from futopt import (
@@ -19,10 +19,9 @@ from futopt import (
     load_config,
     run_backtest,
     simulate_batch,
-    write_wealth_csv,
 )
 from futopt.cli import main
-from futopt.config import StrategyConfig
+from futopt.config import CostSweepConfig, StrategyConfig
 
 
 def _tree(**extra):
@@ -126,32 +125,40 @@ TINY_BACKTEST = {
     "market": {"d": 1, "n_steps": 8, "sigma": 0.2, "alpha": -0.5, "varsigma": 0.1, "f": 50.0,
                "c_spread": 0.001, "m": 0.2, "r": 0.03, "beta0": 0.08},
     "mc": {"n_paths": 8, "seed": 1},
-    # backtest trades these constant weights; optimality-probe trades log-optimal ones
+    # the test draws strategy.policy; optimality-probe always trades log-optimal weights
     "strategy": {"x0": 1.0e6, "policy": "constant", "const_weights": 0.5},
 }
-_FIELDS = [("strategy", name) for name in StrategyConfig.__dataclass_fields__] + [
-    ("market", name) for name in MarketParams.__dataclass_fields__]
+_FIELDS = ([("strategy", name) for name in StrategyConfig.__dataclass_fields__]
+           + [("market", name) for name in MarketParams.__dataclass_fields__]
+           + [("cost_sweep", name) for name in CostSweepConfig.__dataclass_fields__])
 _SHAPED = [("strategy", name) for name in ("p_cov0", "caps", "gearing", "const_weights")]   # shape (d,) or (d, d)
 _NUMBERS = st.one_of(st.integers(-3, 300), st.sampled_from([float("nan"), float("inf"), float("-inf")]))
 _LEAVES = st.one_of(st.text(max_size=6), st.booleans(), _NUMBERS)
 _VALUES = st.one_of(   # nested lists of numbers as often as anything else: they reach the shape checks
-    st.recursive(_LEAVES, lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=9),
-    st.recursive(st.integers(-3, 300), lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=9),
+    st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=9),
+    st.recursive(st.integers(-3, 300), lambda inner: st.lists(inner, max_size=3), max_leaves=9),
 )
 
 
+# Fifty draws rarely pair the random policy with a bad bound or empty the
+# sweep, so those once-uncaught cases are pinned as explicit examples.
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.sampled_from(_SHAPED) | st.sampled_from(_FIELDS), _VALUES), min_size=1, max_size=2))
-def test_mutated_tiny_run_exits_0_1_or_2_without_a_traceback(mutations):
+@example("random", [(("strategy", "bound"), -1)])
+@example("random", [(("strategy", "bound"), 1e308)])
+@example("zero", [(("cost_sweep", "delta_ts"), [])])
+@given(st.sampled_from(["zero", "constant", "random", "log_optimal"]),
+       st.lists(st.tuples(st.sampled_from(_SHAPED) | st.sampled_from(_FIELDS), _VALUES), min_size=1, max_size=2))
+def test_mutated_tiny_run_exits_0_1_or_2_without_a_traceback(policy, mutations):
     import contextlib
     import io
     import tempfile
 
     tree = copy.deepcopy(TINY_BACKTEST)
+    tree["strategy"]["policy"] = policy
     for (section, key), value in mutations:
         if key == "n_steps" and type(value) is int:
             value = min(value, 8)
-        tree[section][key] = value
+        tree.setdefault(section, {})[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "mutated.yaml"
         cfg.write_text(yaml.safe_dump(tree))
@@ -226,7 +233,9 @@ def test_backtest_on_ingested_prices_matches_simulated_batch(tmp_path):
     assert np.count_nonzero(a.book.P) > 0
     assert np.allclose(b.X, a.X, rtol=1e-12, atol=0.0)
     assert np.allclose(b.book.P, a.book.P, rtol=1e-12, atol=0.0)
-    write_wealth_csv(tmp_path / "ledger.csv", b)
+    from futopt.experiments import _ledger_rows, _write_csv
+
+    _write_csv(tmp_path / "ledger.csv", *_ledger_rows(b))
     assert len((tmp_path / "ledger.csv").read_text().splitlines()) == p.n_steps + 2
 
 
@@ -404,6 +413,12 @@ def test_cli_bad_workers_variable_exits_2_naming_it(tmp_path, capsys, monkeypatc
     ("strategy", "caps", -1.0),
     ("strategy", "integer_contracts", 3),
     ("strategy", "literal_product", "yes"),
+    ("strategy", "bound", -1),          # numpy cannot draw from [1, -1]
+    ("strategy", "bound", 1e308),       # nor from a range wider than the largest float
+    ("cost_sweep", "delta_ts", []),
+    ("strategy", "h_window", 0),        # a realized volatility needs two returns
+    ("strategy", "h_window", -3),
+    ("strategy", "h_window", 1),
 ])
 def test_cli_bad_float_and_list_fields_exit_2_naming_the_field(
     tmp_path, capsys, section, key, value

@@ -1,13 +1,16 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import traced_peaks
-from futopt import (config_from_dict, log_optimal_closed_forms, relative_risk, run_experiment,
-                    run_filter_batch, simulate_batch)
-from futopt.experiments import _value_arbitration
+from futopt import (LogOptimalStrategy, config_from_dict, load_config, log_optimal_closed_forms,
+                    relative_risk, run_backtest, run_experiment, run_filter_batch, simulate_batch)
+from futopt.experiments import _ledger_rows, _position_rows, _value_arbitration, _write_csv
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _cfg(experiment, market=None, mc=None, **extra):
@@ -241,6 +244,60 @@ def test_optimality_probe_filters_each_chunk_once(tmp_path, monkeypatch):
     assert len(calls) == len(chunk_layout(TWO_CHUNKS["n_paths"])) == 2
 
 
+def test_optimality_probe_trades_with_gearing_caps_and_integer_contracts(tmp_path):
+    # the probe's policies trade the strategy section's contract rules, as backtest does
+    cfg = load_config(CONFIGS / "known_drift_probe.yaml")
+    run_experiment(cfg, out_dir=tmp_path / "default", n_paths=512)
+    default = (tmp_path / "default" / "optimality_probe.csv").read_bytes()
+    for name, value in (("gearing", 3), ("caps", 50.0), ("integer_contracts", True)):
+        out = tmp_path / name
+        run_experiment(config_from_dict({**cfg.raw, "strategy": {**cfg.raw["strategy"], name: value}}),
+                       out_dir=out, n_paths=512)
+        assert (out / "optimality_probe.csv").read_bytes() != default, name
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_path0_csvs_parse_back_to_the_ledger(tmp_path, d):
+    # every float cell of ledger_0000.csv and positions_0000.csv parses back to
+    # path 0's ledger; d = 1 has a density, d = 2 has none, and a cap binds on
+    # some steps of both
+    market = {"n_steps": 12}
+    if d == 2:
+        market.update(d=2, sigma=0.2, rho=[[1.0, 0.3], [0.3, 1.0]], alpha=-0.5, f=[50.0, 1000.0],
+                      c_spread=[0.001, 0.0002], F0=[100.0, 2.0], beta0=[0.08, -0.04])
+    p = _cfg("backtest", market=market).market
+    batch = simulate_batch(p, 5, 3)
+    cap = np.array([400.0] if d == 1 else [520.0, 2000.0])
+    ledger = run_backtest(batch, LogOptimalStrategy(), p, 1e6, cap=cap, theta_max=10.0 if d == 1 else None)
+    n, book = p.n_steps, ledger.book
+    floats = np.stack([book.pi[0], book.P[0], book.trade[0], book.c_tilde[0], book.cash_cost[0]], axis=-1)
+
+    _write_csv(tmp_path / "ledger.csv", *_ledger_rows(ledger))
+    header, *rows = _read_csv(tmp_path / "ledger.csv")
+    assert header[4:] == [f"{c}_{j}" for j in range(1, d + 1)
+                          for c in ("weight", "position", "trade", "cost_relative", "cost_cash")]
+    assert len(rows) == n + 1 and rows[n][4:] == [""] * (5 * d)
+    front = np.array([r[:4] for r in rows], dtype=float)
+    X = ledger.X[0]
+    density = [ledger.gamma * X, ledger.H * X] if d == 1 else [np.full(n + 1, np.nan)] * 2
+    assert np.array_equal(front, np.column_stack([ledger.t_grid, X, *density]), equal_nan=True)
+    assert np.all(np.isnan(front[:, 2:])) == (d == 2)
+    assert np.array_equal(np.array([r[4:] for r in rows[:n]], dtype=float), floats.reshape(n, 5 * d),
+                          equal_nan=True)
+
+    _write_csv(tmp_path / "positions.csv", *_position_rows(ledger, batch.F))
+    header, *rows = _read_csv(tmp_path / "positions.csv")
+    assert header == ["time", "asset", "price", "contract_price", "weight", "position",
+                      "trade", "cost_relative", "cost_cash", "clipped"]
+    assert [r[1] for r in rows] == [str(j) for _ in range(n) for j in range(1, d + 1)]   # time-major
+    assert {r[9] for r in rows} == {"0", "1"}
+    assert np.array_equal([int(r[9]) for r in rows], book.clipped[0].ravel())
+    back = np.array([r[:1] + r[2:9] for r in rows], dtype=float).reshape(n, d, 8)
+    assert np.array_equal(back[:, :, 0], np.repeat(ledger.t_grid[:n, None], d, axis=1))
+    source = np.concatenate([batch.F[0, :n, :, None], book.C[0, :, :, None], floats], axis=-1)
+    assert np.array_equal(back[:, :, 1:], source, equal_nan=True)
+
+
 def test_manifest_contents(tmp_path):
     cfg = _cfg("cost-sweep")
     run_experiment(cfg, out_dir=tmp_path, seed=99, n_paths=5)
@@ -292,7 +349,6 @@ def test_backtest_strategy_p_cov0_reaches_the_filter(tmp_path):
     import numpy as np
 
     from futopt import build_strategy, run_backtest, run_filter_batch, simulate_batch
-    from futopt.wealth import write_wealth_csv
 
     run_experiment(_cfg("backtest"), out_dir=tmp_path / "default")
     run_experiment(_cfg("backtest", strategy={"p_cov0": 0.5}), out_dir=tmp_path / "scalar")
@@ -304,7 +360,7 @@ def test_backtest_strategy_p_cov0_reaches_the_filter(tmp_path):
     batch = simulate_batch(p, np.random.SeedSequence(cfg.mc.seed).spawn(1)[0], cfg.mc.n_paths)
     beta_hat = run_filter_batch(batch.delta_R(), p, np.array([[0.5]])).beta_hat
     ledger = run_backtest(batch, build_strategy(cfg), p, s.x0, beta_hat=beta_hat, theta_max=s.theta_max)
-    write_wealth_csv(tmp_path / "oracle.csv", ledger)
+    _write_csv(tmp_path / "oracle.csv", *_ledger_rows(ledger))
 
     got = (tmp_path / "matrix" / "ledger_0000.csv").read_bytes()
     assert got != (tmp_path / "default" / "ledger_0000.csv").read_bytes()
@@ -329,8 +385,6 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
 
     from futopt import (build_batch, build_measure_state, build_strategy, chunk_layout,
                         realized_monetary_vol, relative_risk, run_backtest, simulate_batch)
-    from futopt.trading import write_position_ledger
-    from futopt.wealth import write_wealth_csv
 
     # gearing and a cap that bind on part of the steps: every event kind fires
     cfg = _cfg("backtest", mc=TWO_CHUNKS, strategy={"x0": 3000.0, "caps": 20.0, "gearing": 40.0})
@@ -351,8 +405,8 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     ms = build_measure_state(theta, one.dW, p, s.theta_max)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
-    write_wealth_csv(oracle / "ledger_0000.csv", replace(one_ledger, gamma=ms.gamma, H=ms.H[0]))
-    write_position_ledger(oracle / "positions_0000.csv", one_ledger.book, one.F, one.t_grid)
+    _write_csv(oracle / "ledger_0000.csv", *_ledger_rows(replace(one_ledger, gamma=ms.gamma, H=ms.H[0])))
+    _write_csv(oracle / "positions_0000.csv", *_position_rows(one_ledger, one.F))
     for name in ("ledger_0000.csv", "positions_0000.csv"):
         assert _read_csv(tmp_path / "run" / name) == _read_csv(oracle / name)
 

@@ -60,7 +60,10 @@ def test_package_exports_no_deleted_name():
     deleted = ("PathState", "simulate_path", "build_path", "run_filter", "approx_cost_term",
                "filter_step", "FilterState", "discounted_series", "correlated_increments",
                "prices_from_returns", "read_path_csv", "neutrality_diagnostics", "DiagnosticsReport",
-               "log_optimal_weights", "martingale_recursion_gap", "summary_dict")
+               "log_optimal_weights", "martingale_recursion_gap", "summary_dict",
+               "write_wealth_csv", "write_position_ledger")
     assert [n for n in deleted if hasattr(futopt, n)] == []
+    assert not any(hasattr(futopt.wealth, n) or hasattr(futopt.trading, n) for n in deleted)
+    assert not hasattr(futopt.PathBatch, "to_csv")
     assert not hasattr(futopt.FilterHistory, "nu")
     assert "conj" not in futopt.UtilitySpec.__dataclass_fields__

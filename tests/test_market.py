@@ -278,18 +278,29 @@ def test_streamed_build_equals_bulk_build(case):
 
 
 def test_csv_round_trip(tmp_path):
-    p = _params(varsigma=0.1, n_steps=16)
-    batch = simulate_batch(p, 8, 3)
+    # every float cell of a path CSV parses back to the batch's value, at d = 1
+    # and d = 2; a path without latent fields (ingested prices) leaves the beta
+    # cells empty
+    from futopt.experiments import _path_rows, _write_csv
+
     out = tmp_path / "p.csv"
-    batch.to_csv(out, 1)
-    header, *rows = out.read_text().splitlines()
-    assert header == "time,F_1,R_1,beta_1"
-    back = np.array([[float(v) for v in row.split(",")] for row in rows])
-    assert np.array_equal(back[:, 0], batch.t_grid)
-    assert np.array_equal(back[:, 1:], np.concatenate([batch.F[1], batch.R[1], batch.beta[1]], axis=1))
-    # a path without latent fields (ingested prices) leaves the beta cells empty
-    PathBatch(t_grid=batch.t_grid, F=batch.F[1:2], R=batch.R[1:2]).to_csv(out, 0)
-    assert all(row.endswith(",") for row in out.read_text().splitlines()[1:])
+    for p in (_params(varsigma=0.1, n_steps=16),
+              _params(d=2, rho=np.array([[1.0, 0.3], [0.3, 1.0]]), varsigma=0.1, n_steps=16,
+                      F0=np.array([100.0, 2.0]), beta0=np.array([0.08, -0.04]))):
+        d = p.d
+        batch = simulate_batch(p, 8, 3)
+        _write_csv(out, *_path_rows(batch, 1))
+        header, *rows = out.read_text().splitlines()
+        assert header.split(",") == ["time"] + [f"{c}_{j}" for c in ("F", "R", "beta") for j in range(1, d + 1)]
+        back = np.array([row.split(",") for row in rows], dtype=float)
+        assert np.array_equal(back[:, 0], batch.t_grid)
+        assert np.array_equal(back[:, 1:], np.concatenate([batch.F[1], batch.R[1], batch.beta[1]], axis=1))
+
+        _write_csv(out, *_path_rows(PathBatch(t_grid=batch.t_grid, F=batch.F[1:2], R=batch.R[1:2]), 0))
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert all(row[-d:] == [""] * d for row in rows)
+        back = np.array([row[:-d] for row in rows], dtype=float)
+        assert np.array_equal(back, np.concatenate([batch.t_grid[:, None], batch.F[1], batch.R[1]], axis=1))
 
 
 def test_simulate_batch_rejects_zero_paths():

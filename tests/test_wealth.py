@@ -21,8 +21,8 @@ from futopt import (
     simulate_batch,
     step_wealth,
     step_wealth_cash,
-    write_wealth_csv,
 )
+from futopt.experiments import _ledger_rows, _write_csv
 
 
 def _params(**over):
@@ -403,7 +403,7 @@ def test_discounted_series_trivial_when_flat(tmp_path):
     ledger = run_backtest(path, ConstantWeightStrategy([0.5]), p, x0=1e6, theta_max=np.inf)
     assert np.all(ledger.gamma == 1.0) and np.all(ledger.H == 1.0)
     out = tmp_path / "wealth.csv"
-    write_wealth_csv(out, ledger)
+    _write_csv(out, *_ledger_rows(ledger))
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(row["wealth"]) for row in rows] == ledger.X[0].tolist()
@@ -425,14 +425,14 @@ def test_wealth_csv_and_summary(tmp_path):
     ledger = run_backtest(path, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
 
     out = tmp_path / "wealth.csv"
-    write_wealth_csv(out, ledger)
+    _write_csv(out, *_ledger_rows(ledger))
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0])[:4] == ["time", "wealth", "discounted_wealth", "H_wealth"]
     assert len(rows) == 33  # N + 1 rows
     assert [float(row["H_wealth"]) for row in rows] == (ledger.H * ledger.X[0]).tolist()
     # without a density both columns are NaN
-    write_wealth_csv(out, run_backtest(path, LogOptimalStrategy(), p, x0=1e6))
+    _write_csv(out, *_ledger_rows(run_backtest(path, LogOptimalStrategy(), p, x0=1e6)))
     with open(out, newline="") as fh:
         assert all(row["discounted_wealth"] == row["H_wealth"] == "nan" for row in csv.DictReader(fh))
 
