@@ -10,7 +10,7 @@ interchangeable.  The latent drift follows a linear recursion
 
     beta_{n+1} = beta_n + alpha beta_n dt + varsigma dW2_n
 
-driven by a second, independent Brownian increment stream.
+driven by a second, independent Brownian stream that a batch does not keep.
 
 Each floored step (counted in guard_events) multiplies F by pos_floor, 1e-8
 by default, so about 40 of them underflow a price to 0.0; contract_price
@@ -43,11 +43,12 @@ __all__ = [
 class PathBatch:
     """Market paths sharing one grid t_0 .. t_N; a single path is a batch of one.
 
-    F, R and beta have N + 1 rows per path, the increments dW, dW2 have N.
-    The latent fields (beta, dW, dW2, guard_events) are None for paths
-    ingested from price data alone.  A built batch is stored step-major: each
-    array is an (n_paths, ..., d) view of an (N + 1 | N, n_paths, d) buffer,
-    so a step's row F[:, n] is contiguous and a path F[i] is strided.
+    F, R and beta have N + 1 rows per path, the price increments dW have N;
+    dW2 is always None, the drift's increments being freed once beta is built.
+    The latent fields (beta, dW, guard_events) are None for paths ingested
+    from price data alone.  A built batch is stored step-major: each array is
+    an (n_paths, ..., d) view of an (N + 1 | N, n_paths, d) buffer, so a
+    step's row F[:, n] is contiguous and a path F[i] is strided.
     """
 
     t_grid: np.ndarray
@@ -122,8 +123,8 @@ def simulate_drift(params: MarketParams, dW2: np.ndarray) -> np.ndarray:
     return np.moveaxis(beta, 0, -2)
 
 
-def build_batch(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathBatch:
-    """Deterministically assemble paths from (n_paths, N, d) increment arrays.
+def build_batch(params: MarketParams, dW: np.ndarray, beta: np.ndarray) -> PathBatch:
+    """Assemble paths from (n_paths, N, d) price increments and the drift beta.
 
     One pass over the steps: g_n = max(1 + beta_n dt + (sigma dW)_n, floor),
     F_{n+1} = F0 g_0 ... g_n and R_{n+1} = R_n + (g_n - 1), the sequential
@@ -131,7 +132,6 @@ def build_batch(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathBa
     """
     n_paths, n, d = dW.shape
     dt, floor = params.delta_t, params.pos_floor
-    beta = simulate_drift(params, dW2)
     beta_s, dW_s = beta.transpose(1, 0, 2), dW.transpose(1, 0, 2)
 
     F, R = np.empty((n + 1, n_paths, d)), np.zeros((n + 1, n_paths, d))
@@ -154,7 +154,6 @@ def build_batch(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathBa
         R=R.transpose(1, 0, 2),
         beta=beta,
         dW=dW,
-        dW2=dW2,
         guard_events=guard_events,
     )
 
@@ -162,9 +161,10 @@ def build_batch(params: MarketParams, dW: np.ndarray, dW2: np.ndarray) -> PathBa
 def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     """Simulate n_paths independent paths from one seed.
 
-    The price noise and the drift noise come from disjoint sub-streams of a
-    single counter-based generator, so runs are reproducible bit for bit.
-    The sub-streams are the first two children of the seed sequence, derived
+    The drift noise and then the price noise are drawn from disjoint
+    sub-streams of a single counter-based generator, so runs are reproducible
+    bit for bit and the drift noise can be freed once beta is built.  The
+    sub-streams are the first two children of the seed sequence, derived
     without spawn(), which would advance the caller's spawn counter.  Each
     draw is path-major, which fixes the stream, and written step-major.
     """
@@ -177,15 +177,15 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     )
     n, d = params.n_steps, params.d
     sqrt_dt, L = np.sqrt(params.delta_t), params.rho_cholesky()
-    dW, dW2 = np.empty((n, n_paths, d)), np.empty((n, n_paths, d))
+    dW2 = _generator(ss_w2).standard_normal((n_paths, n, d))
+    beta = simulate_drift(params, np.multiply(dW2, sqrt_dt, out=dW2))   # in place: no second copy
+    del dW2
+    dW = np.empty((n, n_paths, d))
     z = _generator(ss_w).standard_normal((n_paths, n, d)).transpose(1, 0, 2)
     for s in _step_blocks(n, z.size):
         np.multiply(sqrt_dt, _times(z[s], L), out=dW[s])
     del z
-    z = _generator(ss_w2).standard_normal((n_paths, n, d)).transpose(1, 0, 2)
-    np.multiply(z, sqrt_dt, out=dW2)
-    del z
-    return build_batch(params, dW.transpose(1, 0, 2), dW2.transpose(1, 0, 2))
+    return build_batch(params, dW.transpose(1, 0, 2), beta)
 
 
 # -- price / return conversions --------------------------------------------

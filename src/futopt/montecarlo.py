@@ -84,8 +84,25 @@ class RunningMoments:
         return float(np.sqrt(self.variance / self.n)) if self.n > 1 else 0.0
 
     def z_score(self, target: float) -> float:
-        se = self.stderr
-        return (self.mean - target) / se if se > 0 else 0.0
+        """(mean - target) / stderr, never finite on a run it cannot judge:
+        NaN for a non-finite mean or stderr, and +-inf for a zero stderr
+        with the mean off target (z_cause names which)."""
+        diff, se = self.mean - target, self.stderr
+        if not (np.isfinite(self.mean) and np.isfinite(se)):
+            return float("nan")
+        if se > 0:
+            return diff / se
+        return 0.0 if diff == 0 else float(np.copysign(np.inf, diff))
+
+    def z_cause(self, target: float) -> str:
+        """Why z_score(target) cannot judge the run, or "" when it can."""
+        if not np.isfinite(self.mean):
+            return "non-finite mean"
+        if not np.isfinite(self.stderr):
+            return "non-finite stderr"
+        if self.stderr == 0 and self.mean != target:
+            return "zero stderr with the mean off target"
+        return ""
 
 
 def resolve_workers(config_value: int | None = None) -> int:

@@ -184,7 +184,7 @@ def run_backtest(
     density = theta_max is not None and paths.beta is not None and paths.dW is not None
     if density:
         beta_lat, dW_steps = paths.beta.transpose(1, 0, 2), paths.dW.transpose(1, 0, 2)
-    log_z, Z, n_capped = np.zeros(n_paths), np.ones(n_paths), 0
+    log_z, n_capped = np.zeros(n_paths), 0
 
     strategy.reset(n_paths, params)
 
@@ -222,14 +222,13 @@ def run_backtest(
             theta, capped = cap_relative_risk(theta, theta_max)
             n_capped += capped
             log_z += log_martingale_step(theta, dW_steps[i], params)
-            with np.errstate(over="ignore"):
-                Z = np.exp(log_z)
-            if not np.all(np.isfinite(Z)):
-                bad = int(np.argmax(~np.isfinite(Z)))
-                raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
+            with np.errstate(over="ignore"):   # exp is monotone: one exp of the max tests every path
+                if not np.isfinite(np.exp(log_z.max())):
+                    bad = int(np.argmax(~np.isfinite(np.exp(log_z))))
+                    raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
+            np.exp(log_z[:1], out=Z_hist[i + 1 : i + 2])
 
         X_hist[i + 1] = X_next[0]
-        Z_hist[i + 1] = Z[0]
         pi_hist[i] = pi[0]
         P_hist[i] = P[0]
         trade_hist[i] = trade[0]
@@ -254,7 +253,7 @@ def run_backtest(
         X_T=X,
         dead=dead,
         events=events,
-        H_T=gamma[-1] * Z if density else None,
+        H_T=gamma[-1] * np.exp(log_z) if density else None,
         n_capped=n_capped,
         gamma=gamma,
         H=H,

@@ -56,6 +56,22 @@ def traced_peaks(run, p, n_paths=4096):
     return peaks
 
 
+def bulk_draws(p, seed, n_paths):
+    """Path-major (dW, dW2) on simulate_batch's two Philox sub-streams: the
+    price increments it keeps and the drift increments it frees once beta is
+    built.  The first k paths of a draw do not depend on n_paths >= k."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss_w, ss_w2 = (
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
+        for k in range(2)
+    )
+    n, d, dt = p.n_steps, p.d, p.delta_t
+    z = np.random.Generator(np.random.Philox(ss_w)).standard_normal((n_paths, n, d))
+    dW = np.sqrt(dt) * (z @ p.rho_cholesky().T)
+    dW2 = np.sqrt(dt) * np.random.Generator(np.random.Philox(ss_w2)).standard_normal((n_paths, n, d))
+    return dW, dW2
+
+
 def increments(p, seed):
     """(N, d) Brownian increments with covariance rho dt from seed's Philox stream."""
     z = np.random.Generator(np.random.Philox(seed)).standard_normal((p.n_steps, p.d))

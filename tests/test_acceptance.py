@@ -41,6 +41,7 @@ from futopt import (
     run_experiment,
     run_filter_batch,
     simulate_batch,
+    simulate_drift,
     step_wealth_cash,
     validate_utility,
 )
@@ -198,7 +199,7 @@ def test_c05_backtest_tracks_closed_form_wealth():
     for dt in (1.0 / 252, 1.0 / 504):
         p = _mk(n_steps=n, delta_t=dt)
         dW = np.sqrt(dt) * z
-        batch = build_batch(p, dW, np.zeros((n_paths, n, 1)))
+        batch = build_batch(p, dW, simulate_drift(p, np.zeros((n_paths, n, 1))))
         x_T = run_backtest(batch, LogOptimalStrategy(mode="zero_cost"), p, 1.0).X_T
         xi_T = log_optimal_closed_forms(np.full((n_paths, n, 1), 0.4), dW, p, 1.0).xi_T
         gaps.append(np.max(np.abs(x_T - xi_T) / xi_T))

@@ -468,6 +468,23 @@ def test_cli_theta_max_inf_means_no_cap(tmp_path):
     assert "NaN" not in summary and "Infinity" not in summary
 
 
+def test_cli_nan_martingale_mean_fails_its_check_naming_the_cause(tmp_path, capsys):
+    # At delta_t = 13, Z_T and zeta_T underflow to 0 on some paths: their 0/0
+    # makes the mean of Z_T / zeta_T NaN, which must fail its check, not pass
+    # it with z = 0.
+    tree = {"experiment": "verify-measure", "mc": {"n_paths": 64, "seed": 1},
+            "market": {"d": 1, "n_steps": 8, "delta_t": 13, "varsigma": 0.1, "beta0": 0.08}}
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["verify-measure", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] martingale:E[Z_T/zeta_T] (mean nan, target 1.0, z nan: non-finite mean)" in out
+    assert err == ""
+    failed = json.loads((tmp_path / "o" / "failure_summary.json").read_text())["failed_checks"]
+    assert {"name": "martingale:E[Z_T/zeta_T]", "passed": False,
+            "detail": "mean nan, target 1.0, z nan: non-finite mean"} in failed
+
+
 def test_float_fields_keep_their_value_and_type():
     cfg = config_from_dict(_tree(strategy={"x0": 1000000, "theta_max": "2.5e0"},
                                  cost_sweep={"delta_ts": [0.5, "1e-2"], "P_prev": 3}))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peaks
+from conftest import bulk_draws, traced_peaks
 from futopt import (LogOptimalStrategy, config_from_dict, load_config, log_optimal_closed_forms,
                     relative_risk, run_backtest, run_experiment, run_filter_batch, simulate_batch)
 from futopt.experiments import _ledger_rows, _position_rows, _value_arbitration, _write_csv
@@ -110,12 +110,13 @@ def test_duality_report_schema(tmp_path):
 @pytest.mark.parametrize("market", ["p1", "p2"])
 def test_value_arbitration_memory_budget(market, request):
     # In units of one (n_paths, N + 1, d) float array: building the batch
-    # (5.3).  The step loop keeps only R, dW and the (n_paths, N) quadratic
-    # forms (5.0); taking the returns and the whole filter history read 6.0,
-    # and keeping the batch and the whole wealth path alive needs 10-13.
+    # (4.3).  The step loop keeps only R, dW and the (n_paths, N) quadratic
+    # forms (4.0 at most); taking the returns and the whole filter history
+    # read 6.0, and keeping the batch and the whole wealth path alive needs
+    # 10-13.
     p = request.getfixturevalue(market).with_updates(n_steps=64)
     (peak,) = traced_peaks(lambda n, mark: _value_arbitration(p, 5, n, 1.0), p)
-    assert peak <= 5.5, peak
+    assert peak <= 4.6, peak
 
 
 @pytest.mark.parametrize("seed", [5, 11])
@@ -384,7 +385,8 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     from dataclasses import replace
 
     from futopt import (build_batch, build_measure_state, build_strategy, chunk_layout,
-                        realized_monetary_vol, relative_risk, run_backtest, simulate_batch)
+                        realized_monetary_vol, relative_risk, run_backtest, simulate_batch,
+                        simulate_drift)
 
     # gearing and a cap that bind on part of the steps: every event kind fires
     cfg = _cfg("backtest", mc=TWO_CHUNKS, strategy={"x0": 3000.0, "caps": 20.0, "gearing": 40.0})
@@ -399,7 +401,7 @@ def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
     ledgers = [run_backtest(b, build_strategy(cfg), p, s.x0, cap=cap, theta_max=s.theta_max) for b in batches]
     # path 0 alone, as a batch of one from its own increments, with its
     # density built on the whole path from the costs it paid
-    one = build_batch(p, batches[0].dW[:1], batches[0].dW2[:1])
+    one = build_batch(p, batches[0].dW[:1], simulate_drift(p, bulk_draws(p, children[0], 1)[1]))
     one_ledger = run_backtest(one, build_strategy(cfg), p, s.x0, cap=cap)
     theta = relative_risk(one.beta[:, : p.n_steps] - np.nan_to_num(one_ledger.book.c_tilde, nan=0.0), p)
     ms = build_measure_state(theta, one.dW, p, s.theta_max)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import bulk_draws
 from futopt import (
     MarketParams,
     ModelError,
@@ -59,7 +60,7 @@ def test_increments_deterministic_given_seed():
     a = simulate_batch(p, 7, 3)
     b = simulate_batch(p, 7, 3)
     assert np.array_equal(a.dW, b.dW)
-    assert np.array_equal(a.dW2, b.dW2)
+    assert a.dW2 is None and b.dW2 is None   # the drift noise is freed once beta is built
 
 
 # -- drift ------------------------------------------------------------------
@@ -114,7 +115,8 @@ def test_batch_path_view_matches_singleton():
     batch = simulate_batch(p, 5, 3)
     assert batch.F.shape == (3, 33, 1)
     assert (batch.n_paths, batch.n_steps, batch.d) == (3, 32, 1)
-    one = build_batch(p, batch.dW[1:2], batch.dW2[1:2])
+    _, dW2 = bulk_draws(p, 5, 3)
+    one = build_batch(p, batch.dW[1:2], simulate_drift(p, dW2[1:2]))
     assert one.n_paths == 1
     for name in ("F", "R", "beta", "guard_events"):
         assert np.array_equal(getattr(one, name), getattr(batch, name)[1:2])
@@ -199,23 +201,10 @@ def test_quadratic_variation_close_to_rho():
 def test_build_batch_reproduces_simulation():
     p = _params(varsigma=0.1, alpha=-0.5, n_steps=64)
     path = simulate_batch(p, 21, 2)
-    rebuilt = build_batch(p, path.dW, path.dW2)
+    _, dW2 = bulk_draws(p, 21, 2)
+    rebuilt = build_batch(p, path.dW, simulate_drift(p, dW2))
     assert np.array_equal(rebuilt.F, path.F)
     assert np.array_equal(rebuilt.beta, path.beta)
-
-
-def _bulk_draws(p, seed, n_paths):
-    """Path-major increments on simulate_batch's two Philox sub-streams."""
-    ss = np.random.SeedSequence(seed)
-    ss_w, ss_w2 = (
-        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size)
-        for k in range(2)
-    )
-    n, d, dt = p.n_steps, p.d, p.delta_t
-    z = np.random.Generator(np.random.Philox(ss_w)).standard_normal((n_paths, n, d))
-    dW = np.sqrt(dt) * (z @ p.rho_cholesky().T)
-    dW2 = np.sqrt(dt) * np.random.Generator(np.random.Philox(ss_w2)).standard_normal((n_paths, n, d))
-    return dW, dW2
 
 
 def _bulk_build(p, dW, dW2):
@@ -240,7 +229,7 @@ def _bulk_build(p, dW, dW2):
     R = np.zeros((n_paths, n + 1, d))
     np.cumsum(guarded - 1.0, axis=1, out=R[:, 1:, :])
     guard_events = (factor < p.pos_floor).sum(axis=(1, 2))
-    return dict(F=F, R=R, beta=beta, dW=dW, dW2=dW2, guard_events=guard_events)
+    return dict(F=F, R=R, beta=beta, dW=dW, guard_events=guard_events)
 
 
 _TWO_ASSET = dict(d=2, sigma=[[0.2, 0.05], [0.0, 0.25]], rho=[[1.0, 0.3], [0.3, 1.0]],
@@ -259,20 +248,22 @@ STEP_MAJOR_CASES = {
 def test_streamed_build_equals_bulk_build(case):
     # The step-major, block-by-block build gives the bulk build's values bit
     # for bit, from simulate_batch and from build_batch on path-major
-    # increments, whole or sliced (a one-path slice included at d = 2).
+    # increments and the drift built from the redrawn drift noise, whole or
+    # sliced (a one-path slice included at d = 2).
     p, n_paths = STEP_MAJOR_CASES[case]
-    dW, dW2 = _bulk_draws(p, 17, n_paths)
-    names = ("F", "R", "beta", "dW", "dW2", "guard_events")
+    dW, dW2 = bulk_draws(p, 17, n_paths)
+    names = ("F", "R", "beta", "dW", "guard_events")
     ref = _bulk_build(p, dW, dW2)
     if case == "guarded":
         assert ref["guard_events"].sum() > n_paths
     batch = simulate_batch(p, 17, n_paths)
     assert batch.F[:, 3].flags.c_contiguous
+    assert batch.dW2 is None
     for name in names:
         assert np.array_equal(getattr(batch, name), ref[name]), name
     for rows in (slice(None), slice(1, 2), slice(None, None, 3)):
         ref = _bulk_build(p, dW[rows], dW2[rows])
-        rebuilt = build_batch(p, dW[rows], dW2[rows])
+        rebuilt = build_batch(p, dW[rows], simulate_drift(p, dW2[rows]))
         for name in names:
             assert np.array_equal(getattr(rebuilt, name), ref[name]), (name, rows)
 

@@ -54,6 +54,20 @@ def test_z_score_sign_convention():
     m.update(np.full(100, 2.0) + np.linspace(-0.1, 0.1, 100))
     assert m.z_score(2.0) == pytest.approx(0.0, abs=1e-10)
     assert m.z_score(1.0) > 0
+    assert m.z_cause(1.0) == ""
+
+
+def test_z_score_is_not_finite_on_a_run_it_cannot_judge():
+    flat = RunningMoments()
+    flat.update(np.zeros(10))
+    assert flat.z_score(0.0) == 0.0 and flat.z_cause(0.0) == ""
+    assert flat.z_score(1.0) == -np.inf and flat.z_score(-1.0) == np.inf
+    assert flat.z_cause(1.0) == "zero stderr with the mean off target"
+    nan = RunningMoments()
+    nan.update(np.array([1.0, np.nan, 2.0]))
+    assert np.isnan(nan.z_score(1.0)) and nan.z_cause(1.0) == "non-finite mean"
+    wide = RunningMoments(n=2, mean=0.0, m2=np.inf)   # squares of +-1e200 overflow; their mean does not
+    assert np.isnan(wide.z_score(0.0)) and wide.z_cause(0.0) == "non-finite stderr"
 
 
 def test_chunk_layout_covers_range():

@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 TINY_BACKTEST = """\
@@ -48,3 +50,8 @@ def test_traced_backtest_reports_its_layers(tmp_path):
     layers = report["layers"]
     assert layers["wealth.backtest_calls"] == 1
     assert layers["wealth.step_iters"] == 16
+    # The batch is four float arrays, F, R and beta on the 17-point grid and
+    # dW on its 16 steps, plus t_grid and the per-path guard_events.
+    n_paths, n = 64, 16
+    floats = 3 * n_paths * (n + 1) + n_paths * n + (n + 1)
+    assert layers["market.computed_bytes"] == 8 * floats + np.dtype(int).itemsize * n_paths

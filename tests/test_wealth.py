@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peaks
+from conftest import bulk_draws, traced_peaks
 from futopt import (
     ConstantWeightStrategy,
     LogOptimalStrategy,
@@ -19,6 +19,7 @@ from futopt import (
     run_backtest,
     run_filter_batch,
     simulate_batch,
+    simulate_drift,
     step_wealth,
     step_wealth_cash,
 )
@@ -227,6 +228,7 @@ def test_batch_matches_single_paths():
     for p in (_one_asset_costly(), TWO_ASSET):
         n, d = p.n_steps, p.d
         batch = simulate_batch(p, 11, 5)
+        _, dW2 = bulk_draws(p, 11, 5)
         b_ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6)
         b_beta_hat = run_filter_batch(batch.delta_R(), p).beta_hat   # what the loop read
         assert b_ledger.X.shape == (1, n + 1)
@@ -236,7 +238,7 @@ def test_batch_matches_single_paths():
             assert getattr(b_ledger.book, name).shape == (1, n, d)
         traded = 0
         for i in range(5):
-            one = build_batch(p, batch.dW[i : i + 1], batch.dW2[i : i + 1])
+            one = build_batch(p, batch.dW[i : i + 1], simulate_drift(p, dW2[i : i + 1]))
             s_ledger = run_backtest(one, LogOptimalStrategy(), p, x0=1e6)
             rows = slice(i, i + 1)
             assert _same(b_ledger.X_T[rows], s_ledger.X_T, d == 1)
@@ -244,7 +246,7 @@ def test_batch_matches_single_paths():
             assert _same(b_beta_hat[rows], run_filter_batch(one.delta_R(), p).beta_hat, d == 1)
             if i not in (0, 2, 4):
                 continue
-            rolled = build_batch(p, np.roll(batch.dW, -i, axis=0), np.roll(batch.dW2, -i, axis=0))
+            rolled = build_batch(p, np.roll(batch.dW, -i, axis=0), simulate_drift(p, np.roll(dW2, -i, axis=0)))
             r_ledger = run_backtest(rolled, LogOptimalStrategy(), p, x0=1e6)
             assert _same(r_ledger.X_T, np.roll(b_ledger.X_T, -i), d == 1)
             assert _same(r_ledger.X, s_ledger.X, d == 1)
@@ -270,7 +272,8 @@ def test_ledger_history_does_not_grow_with_paths():
 
 def test_step_major_memory_budget():
     # Peak traced memory in units of one (n_paths, N + 1, d) float array.
-    # The batch is five units (F, R, beta, dW, dW2); a step-major build
+    # The batch is four units (F, R, beta, dW): the drift noise is freed once
+    # beta is built, before the price noise is drawn.  A step-major build
     # allocates little beyond them, and a backtest adds the filter's input
     # and output (three units).  A whole-array path-major build, or a
     # backtest that copies F and the returns step-major, needs about 10.
@@ -287,8 +290,8 @@ def test_step_major_memory_budget():
                 assert ledger.events["clip_events"].sum() > n * p.n_steps // 2
 
         sim_peak, run_peak = traced_peaks(run, p)
-        assert sim_peak <= 6, (cap, sim_peak)
-        assert run_peak <= 9, (cap, run_peak)
+        assert sim_peak <= 4.6, (cap, sim_peak)
+        assert run_peak <= 7.5, (cap, run_peak)
 
 
 def _density_oracle(batch, p, theta_max, monkeypatch):
@@ -373,7 +376,7 @@ def test_in_loop_density_overflow_names_path_and_step():
     p = _params(n_steps=8)
     dW = np.full((3, 8, 1), 0.01)
     dW[1, 5, 0] = -4000.0   # -theta dW = 1600 > log(max float) at theta 0.4
-    batch = build_batch(p, dW, np.zeros_like(dW))
+    batch = build_batch(p, dW, simulate_drift(p, np.zeros_like(dW)))
     with pytest.raises(ModelError, match="step 6 on path 1"):
         run_backtest(batch, ZeroStrategy(), p, x0=1e6, theta_max=np.inf)
 
