@@ -19,10 +19,10 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .config import ScenarioConfig, build_strategy
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .filtering import KalmanSchedule, run_filter_batch
 from .market import PathBatch, returns_from_prices, simulate_batch
-from .measure import build_measure_state, relative_risk, zeta_projection
+from .measure import cap_relative_risk, change_measure, log_martingale_step, relative_risk, zeta_step
 from .montecarlo import chunk_layout, run_chunked
 from .strategies import LaggedEstimateStrategy, LogOptimalStrategy, MaskedStrategy, ScaledStrategy
 from .trading import cost_term
@@ -228,12 +228,9 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
 
     def chunk(seed_seq, n_in_chunk):
         batch = simulate_batch(run_params, seed_seq, n_in_chunk)
-        beta_hat = None   # run_backtest filters with the default prior; a configured one is applied here
-        if s.p_cov0 is not None and run_params.sigma_invertible():
-            beta_hat = run_filter_batch(batch.delta_R(), run_params, s.p_cov0).beta_hat
         ledger = run_backtest(
-            batch, build_strategy(cfg), run_params, s.x0, beta_hat=beta_hat,
-            cap=cap, integer_contracts=s.integer_contracts, theta_max=s.theta_max,
+            batch, build_strategy(cfg), run_params, s.x0, cap=cap,
+            integer_contracts=s.integer_contracts, theta_max=s.theta_max, p_cov0=s.p_cov0,
         )
         if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked: path 0's reports
             summary["realized_monetary_vol"] = realized_monetary_vol(ledger, run_params, s.h_window)
@@ -276,29 +273,56 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     return ExperimentResult(artifacts, checks)
 
 
+def _measure_samples(params, seed_seq, n_paths: int, edges, p_cov0, theta_max):
+    """verify-measure's per-path samples and largest zeta recursion gap on a
+    fresh batch, streamed like _value_arbitration: only R, dW, rows and W~ at
+    the bucket edges are kept."""
+    batch = simulate_batch(params, seed_seq, n_paths)
+    R, dW = batch.R, batch.dW
+    del batch
+    ks = KalmanSchedule(params, params.n_steps, p_cov0)
+    b = np.broadcast_to(params.beta0, (n_paths, params.d)).copy()
+    log_z, log_zeta, W = np.zeros(n_paths), np.zeros(n_paths), np.zeros((n_paths, params.d))
+    W_at, gap, zeta_peak = {0: W}, 0.0, 0.0
+    for i in range(params.n_steps):
+        theta, _ = cap_relative_risk(relative_risk(b, params), theta_max)
+        log_z += log_martingale_step(theta, dW[:, i], params)
+        with np.errstate(over="ignore"):   # exp is monotone: one exp of the max tests every path
+            if not np.isfinite(np.exp(log_z.max())):
+                bad = int(np.argmax(~np.isfinite(np.exp(log_z))))
+                raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
+        W_next = W + change_measure(theta, dW[:, i], params)
+        incr, gaps = zeta_step(theta, W_next - W, params)   # on W~'s own increments, as np.diff gives them
+        log_zeta += incr
+        zeta_peak, gap = np.maximum(zeta_peak, log_zeta.max()), np.maximum(gap, gaps.max())   # NaN stays NaN
+        W = W_next
+        if i + 1 in edges:
+            W_at[i + 1] = W
+        b, _ = ks.update(b, R[:, i + 1] - R[:, i], i)
+    with np.errstate(over="ignore"):   # raised after every step, so an overflowing Z wins
+        if not np.isfinite(np.exp(zeta_peak)):
+            raise ModelError("zeta projection overflowed")
+
+    z_T = np.exp(log_z)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 on underflow: a NaN mean fails its check
+        res = {"E[Z_T]": z_T, "E[Z_T/zeta_T]": z_T / np.exp(log_zeta)}
+    for k in range(len(edges) - 1):
+        incr = W_at[edges[k + 1]] - W_at[edges[k]]
+        for j in range(params.d):
+            res[f"E[Z_T dWtilde_{j + 1} bucket{k + 1}]"] = z_T * incr[:, j]
+    return res, float(gap)
+
+
 def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
     params = cfg.market
-    theta_max, p_cov0 = cfg.strategy.theta_max, cfg.strategy.p_cov0
-    n = params.n_steps
-    n_buckets = min(4, n)
-    edges = np.linspace(0, n, n_buckets + 1).astype(int)
+    n_buckets = min(4, params.n_steps)
+    edges = np.linspace(0, params.n_steps, n_buckets + 1).astype(int)
     zeta_gaps: list[float] = []
 
     def chunk(seed_seq, n_in_chunk):
-        batch = simulate_batch(params, seed_seq, n_in_chunk)
-        fh = run_filter_batch(batch.delta_R(), params, p_cov0)
-        theta_hat = relative_risk(fh.beta_hat[:, :n, :], params)
-        ms = build_measure_state(theta_hat, batch.dW, params, theta_max)
-        dW_tilde = np.diff(ms.W_tilde, axis=1)
-        zeta, gap = zeta_projection(ms.theta, dW_tilde, params)
+        res, gap = _measure_samples(params, seed_seq, n_in_chunk, edges,
+                                    cfg.strategy.p_cov0, cfg.strategy.theta_max)
         zeta_gaps.append(gap)
-        z_T = ms.Z[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 on underflow: a NaN mean fails its check
-            res = {"E[Z_T]": z_T, "E[Z_T/zeta_T]": z_T / zeta[:, -1]}
-        for b in range(n_buckets):
-            incr = ms.W_tilde[:, edges[b + 1], :] - ms.W_tilde[:, edges[b], :]
-            for j in range(params.d):
-                res[f"E[Z_T dWtilde_{j + 1} bucket{b + 1}]"] = z_T * incr[:, j]
         return res
 
     stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
@@ -313,8 +337,9 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
                              f"mean {mom.mean:.6g}, target {target}, z {z:.2f}" + (f": {cause}" if cause else "")))
     # The recursion gap grows with the largest |dW| draw in the run; 1e-4
     # still catches sign and scaling mistakes at any realistic path count.
-    max_gap = max(zeta_gaps) if zeta_gaps else 0.0
-    checks.append(_check("zeta_recursion_gap", max_gap < 1e-4, f"max relative gap {max_gap:.3g}"))
+    max_gap = float(np.max(zeta_gaps))   # a NaN gap wins, whichever chunk it came from
+    cause = "" if np.isfinite(max_gap) else ": the growth factor exp(u) of 1/zeta overflowed or underflowed"
+    checks.append(_check("zeta_recursion_gap", max_gap < 1e-4, f"max relative gap {max_gap:.3g}{cause}"))
 
     report = _write_csv(out / "measure_report.csv",
                         ["quantity", "n_paths", "mean", "stderr", "target", "z_score"], sorted(rows))

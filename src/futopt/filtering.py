@@ -19,8 +19,8 @@ are uncorrelated with any function of past returns, prices included.
 The recursion splits in two.  The gains and error covariances do not depend
 on the data, so KalmanSchedule computes them once; its update() is the data
 half, one step's row of paths at a time.  run_filter_batch drives it over a
-whole batch, and duality-report's value arbitration steps it inside its own
-loop.
+whole batch for the optimality probe's shared estimate; run_backtest,
+verify-measure and duality-report step it inside their own loops.
 """
 
 from __future__ import annotations

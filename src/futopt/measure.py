@@ -31,6 +31,7 @@ __all__ = [
     "martingale_recursion",
     "change_measure",
     "discount_and_density",
+    "zeta_step",
     "zeta_projection",
     "build_measure_state",
 ]
@@ -133,36 +134,38 @@ def discount_and_density(params: MarketParams, Z: np.ndarray) -> tuple[np.ndarra
     return gamma, gamma * Z
 
 
+def zeta_step(theta_hat: np.ndarray, dW_tilde: np.ndarray, params: MarketParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the increment of log zeta, -theta_hat* dW~ + 1/2 theta_hat* rho theta_hat dt,
+    and the relative gap between the growth factor exp(u) of 1/zeta, u = -increment, and
+    its Taylor polynomial through u^3 ~ dt^{3/2}, which checks the growth recursion
+    d(1/zeta) = (1/zeta) theta_hat* dW~ to every order below dt^2.  An exp(u) that
+    overflows or underflows gives a NaN or inf gap, not a warning."""
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    a = np.einsum("...i,...i->...", theta_hat, np.asarray(dW_tilde, dtype=float))
+    q = _quad_form(theta_hat, params.rho) * params.delta_t
+    u = a - 0.5 * q
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        growth = np.exp(u)
+        gap = np.abs(growth - (1.0 + u + 0.5 * u * u + u * u * u / 6.0)) / growth
+    return -a + 0.5 * q, gap
+
+
 def zeta_projection(
     theta_hat: np.ndarray, dW_tilde: np.ndarray, params: MarketParams
 ) -> tuple[np.ndarray, float]:
-    """Observable density factor on the shifted increments.
+    """Observable density factor on the shifted increments, with the largest
+    zeta_step gap over the path (NaN if any is):
 
     zeta_n = exp{ -sum theta_hat* dW~ + 1/2 sum theta_hat* rho theta_hat dt }
-
-    Also validates the growth recursion d(1/zeta) = (1/zeta) theta_hat* dW~
-    step by step: the closed-form growth factor of 1/zeta is compared with
-    its Taylor polynomial through third order in the increment, which keeps
-    every term of order below dt^2.  The maximum relative mismatch over the
-    path is returned alongside zeta.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    dW_tilde = np.asarray(dW_tilde, dtype=float)
-    a = np.einsum("...i,...i->...", theta_hat, dW_tilde)
-    q = _quad_form(theta_hat, params.rho) * params.delta_t
-
-    log_zeta = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    np.cumsum(-a + 0.5 * q, axis=-1, out=log_zeta[..., 1:])
-    zeta = np.exp(log_zeta)
+    incr, gaps = zeta_step(theta_hat, dW_tilde, params)
+    log_zeta = np.zeros(incr.shape[:-1] + (incr.shape[-1] + 1,))
+    np.cumsum(incr, axis=-1, out=log_zeta[..., 1:])
+    with np.errstate(over="ignore"):
+        zeta = np.exp(log_zeta)
     if not np.all(np.isfinite(zeta)):
         raise ModelError("zeta projection overflowed")
-
-    # Growth factor of 1/zeta is exp(u) with u = a - q/2; the recursion keeps
-    # terms up to and including u^3 ~ dt^{3/2}.
-    u = a - 0.5 * q
-    poly = 1.0 + u + 0.5 * u * u + u * u * u / 6.0
-    gap = float(np.max(np.abs(np.exp(u) - poly) / np.exp(u))) if u.size else 0.0
-    return zeta, gap
+    return zeta, float(np.max(gaps)) if gaps.size else 0.0
 
 
 @dataclass
@@ -176,18 +179,6 @@ class MeasureState:
     H: np.ndarray            # (..., N + 1)
     n_capped: int = 0
 
-    def validate(self) -> None:
-        if not np.allclose(self.Z[..., 0], 1.0):
-            raise ModelError("Z must start at 1")
-        if np.any(self.Z <= 0):
-            raise ModelError("Z must stay positive")
-        if not np.allclose(self.gamma[0], 1.0):
-            raise ModelError("gamma must start at 1")
-        if np.any(np.diff(self.gamma) > 1e-15):
-            raise ModelError("gamma must be non-increasing for r >= 0")
-        if not np.allclose(self.H, self.gamma * self.Z):
-            raise ModelError("H must equal gamma * Z")
-
 
 def build_measure_state(
     theta: np.ndarray,
@@ -195,7 +186,8 @@ def build_measure_state(
     params: MarketParams,
     theta_max: float | None = 10.0,
 ) -> MeasureState:
-    """Assemble Z, W~, gamma, H from a relative risk path and increments."""
+    """Assemble Z, W~, gamma, H from a relative risk path and increments: the
+    whole-path oracle of run_backtest's density and verify-measure's step loop."""
     theta = np.asarray(theta, dtype=float)
     n_capped = 0
     if theta_max is not None:

@@ -129,7 +129,8 @@ class LogOptimalStrategy(Strategy):
         if self.mode == "zero_cost":
             return pi_zc
 
-        P_star = obs.X[..., None] * params.k * pi_zc / obs.C
+        with np.errstate(over="ignore"):   # an infinite target gives NaN weights, which the backtest names
+            P_star = obs.X[..., None] * params.k * pi_zc / obs.C
         c_hat, flagged = cost_term(P_star, obs.P_prev, obs.C, params)
         c_hat = np.where(flagged, 0.0, c_hat)
         upsilon = payoff_transform(obs.beta_hat, c_hat, self.mode)

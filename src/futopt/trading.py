@@ -60,8 +60,9 @@ def position_from_weights(
     that hit the cap.
     """
     X = np.asarray(X, dtype=float)
-    P = (X[..., None] if X.ndim else X) * np.asarray(k, float) * np.asarray(pi, float)
-    P = P / np.asarray(C, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite P is the caller's to name
+        P = (X[..., None] if X.ndim else X) * np.asarray(k, float) * np.asarray(pi, float)
+        P = P / np.asarray(C, dtype=float)
     if cap is not None:
         cap = np.asarray(cap, dtype=float)
         if np.any(cap < 0):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .filtering import run_filter_batch
+from .filtering import KalmanSchedule
 from .market import PathBatch
 from .measure import cap_relative_risk, discount_and_density, log_martingale_step, relative_risk
 from .params import MarketParams
@@ -121,6 +121,7 @@ def run_backtest(
     cap: np.ndarray | None = None,
     integer_contracts: bool = False,
     theta_max: float | None = None,
+    p_cov0=None,
 ) -> WealthLedger:
     """Run a policy over simulated or ingested paths.
 
@@ -128,10 +129,12 @@ def run_backtest(
     run_filter_batch(paths.delta_R(), params).beta_hat gives it: row n has
     seen returns only up to t_n, and the increment over [t_n, t_{n+1}] is
     revealed after the weights are committed.  When it is None and sigma is
-    invertible, the loop filters with the default prior itself.  Policies
-    traded on one batch can share one estimate: the rows of F and beta_hat
-    handed to the strategy are read-only.  The cash form is the primitive
-    recursion; the relative cost per step is recorded for cross-checks.
+    invertible, the loop steps a KalmanSchedule with prior p_cov0 itself,
+    folding in R[:, n + 1] - R[:, n] after step n.  Policies traded on one
+    batch can share one estimate: the rows of F and beta_hat handed to the
+    strategy are read-only.  The cash form is the primitive recursion; the
+    relative cost per step is recorded for cross-checks.  A position
+    X k pi / C that is not finite raises ModelError.
 
     The ledger keeps the full per-step record (X and the position book) for
     path 0 only, and for every path the terminal wealth X_T, the absorption
@@ -155,14 +158,16 @@ def run_backtest(
     F_steps = paths.F.transpose(1, 0, 2)
     F_steps.flags.writeable = False
 
-    if beta_hat is None and params.sigma_invertible():
-        beta_hat = run_filter_batch(paths.delta_R(), params).beta_hat
-    beta_steps = None
+    beta_steps = ks = b = None
     if beta_hat is not None:
         if beta_hat.shape != paths.F.shape:
             raise ModelError(f"beta_hat must have the paths' shape {paths.F.shape}, got {beta_hat.shape}")
         beta_steps = beta_hat.transpose(1, 0, 2)   # the filter's own storage
         beta_steps.flags.writeable = False
+    elif params.sigma_invertible():
+        ks = KalmanSchedule(params, n, p_cov0)
+        R_steps = paths.R.transpose(1, 0, 2)
+        b = np.broadcast_to(params.beta0, (n_paths, d)).copy()
 
     X = np.full(n_paths, float(x0))
     dead = X <= 0
@@ -189,6 +194,10 @@ def run_backtest(
     strategy.reset(n_paths, params)
 
     for i in range(n):
+        if beta_steps is not None:
+            b = beta_steps[i]
+        elif ks is not None:
+            b.flags.writeable = False
         F_i = F_steps[i]
         C_i = contract_price(F_i, params.f)
         obs = StrategyObs(
@@ -198,7 +207,7 @@ def run_backtest(
             C=C_i,
             X=X,
             P_prev=P_prev,
-            beta_hat=None if beta_steps is None else beta_steps[i],
+            beta_hat=b,
         )
         pi = np.asarray(strategy.weights(obs), dtype=float)
         if pi.shape != (n_paths, d):
@@ -207,6 +216,10 @@ def run_backtest(
 
         P, clipped = position_from_weights(X, pi, C_i, params.k, cap, integer_contracts)
         P = np.where(dead[:, None], 0.0, P)
+        if not np.isfinite(P).all():
+            j = int(np.argmin(np.isfinite(P).all(axis=1)))
+            raise ModelError(f"position X k pi / C is not finite at step {i} on path {j}: X = {X[j]:.6g}, "
+                             f"k = {params.k.tolist()}, pi = {pi[j].tolist()}, C = {C_i[j].tolist()}")
         trade = P - P_prev
 
         c_tilde, flagged = cost_term(P, P_prev, C_i, params)
@@ -240,6 +253,8 @@ def run_backtest(
         dead = dead | violated | (X_next <= 0)
         X = X_next
         P_prev = np.where(dead[:, None], 0.0, P)
+        if ks is not None:
+            b, _ = ks.update(b, R_steps[i + 1] - R_steps[i], i)
 
     book = PositionBook(
         C=C_hist[None], pi=pi_hist[None], P=P_hist[None], trade=trade_hist[None],

@@ -485,6 +485,44 @@ def test_cli_nan_martingale_mean_fails_its_check_naming_the_cause(tmp_path, caps
             "detail": "mean nan, target 1.0, z nan: non-finite mean"} in failed
 
 
+def test_cli_non_finite_zeta_gap_fails_its_check_naming_the_cause(tmp_path, capsys):
+    # At delta_t = 13 the growth factor exp(u) of 1/zeta overflows on a path
+    # of seed 2: the recursion gap is NaN, which must fail its check quietly,
+    # whichever chunk it came from.
+    tree = {"experiment": "verify-measure", "mc": {"n_paths": 64, "seed": 2},
+            "market": {"d": 1, "n_steps": 8, "delta_t": 13, "varsigma": 0.1, "beta0": 0.08}}
+    cfg = tmp_path / "gap.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert main(["verify-measure", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    detail = "max relative gap nan: the growth factor exp(u) of 1/zeta overflowed or underflowed"
+    assert f"[FAIL] zeta_recursion_gap ({detail})" in out
+    assert err == ""
+    failed = json.loads((tmp_path / "o" / "failure_summary.json").read_text())["failed_checks"]
+    assert {"name": "zeta_recursion_gap", "passed": False, "detail": detail} in failed
+
+
+@pytest.mark.parametrize("caps", [None, 50.0], ids=["uncapped", "capped"])
+def test_cli_overflowing_gearing_names_the_position_or_is_clipped(tmp_path, capsys, caps):
+    # gearing 1e308 overflows X k pi / C.  Uncapped, the first step names the
+    # position (exit 2); a cap clips it, and the run goes on.  No warning either way.
+    tree = yaml.safe_load(MINI_YAML)
+    tree.update(experiment="backtest", mc={"n_paths": 16, "seed": 5})
+    tree["strategy"] = {"gearing": 1e308, "mode": "zero_cost", **({} if caps is None else {"caps": caps})}
+    cfg = tmp_path / "gear.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    code = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    if caps is None:
+        assert code == 2
+        assert err.startswith("error: position X k pi / C is not finite at step 0 on path 0: X = 1e+06, "
+                              "k = [1e+308], pi = ["), err
+    else:
+        assert code in (0, 1) and err == ""
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["clip_events"] == 16 * 16 and np.isfinite(summary["terminal_mean"])
+
+
 def test_float_fields_keep_their_value_and_type():
     cfg = config_from_dict(_tree(strategy={"x0": 1000000, "theta_max": "2.5e0"},
                                  cost_sweep={"delta_ts": [0.5, "1e-2"], "P_prev": 3}))

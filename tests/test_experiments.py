@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import bulk_draws, traced_peaks
-from futopt import (LogOptimalStrategy, config_from_dict, load_config, log_optimal_closed_forms,
-                    relative_risk, run_backtest, run_experiment, run_filter_batch, simulate_batch)
-from futopt.experiments import _ledger_rows, _position_rows, _value_arbitration, _write_csv
+from futopt import (LogOptimalStrategy, build_measure_state, config_from_dict, load_config,
+                    log_optimal_closed_forms, relative_risk, run_backtest, run_experiment, run_filter_batch,
+                    simulate_batch, zeta_projection)
+from futopt.experiments import _ledger_rows, _measure_samples, _position_rows, _value_arbitration, _write_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -117,6 +118,51 @@ def test_value_arbitration_memory_budget(market, request):
     p = request.getfixturevalue(market).with_updates(n_steps=64)
     (peak,) = traced_peaks(lambda n, mark: _value_arbitration(p, 5, n, 1.0), p)
     assert peak <= 4.6, peak
+
+
+def _two_asset_measure_market():
+    return load_config(CONFIGS / "two_asset_measure.yaml").market
+
+
+@pytest.mark.parametrize("n_paths, p_cov0, theta_max", [(300, None, 10.0), (1, None, 10.0), (300, 0.4, 0.5)])
+@pytest.mark.parametrize("market", ["p1", "p2", "two_asset_measure"])
+def test_streamed_measure_samples_equal_whole_path_oracles(market, n_paths, p_cov0, theta_max, request):
+    # verify-measure's step loop against the whole-batch filter,
+    # build_measure_state and zeta_projection on the same batch, bit for bit:
+    # Z_T, Z_T / zeta_T, every bucket increment of W~ and the recursion gap.
+    p = (_two_asset_measure_market() if market == "two_asset_measure"
+         else request.getfixturevalue(market)).with_updates(n_steps=64, m=0.2, r=0.03)
+    n = p.n_steps
+    edges = np.linspace(0, n, 5).astype(int)
+    res, gap = _measure_samples(p, np.random.SeedSequence(11), n_paths, edges, p_cov0, theta_max)
+    batch = simulate_batch(p, np.random.SeedSequence(11), n_paths)
+    theta_hat = relative_risk(run_filter_batch(batch.delta_R(), p, p_cov0).beta_hat[:, :n], p)
+    ms = build_measure_state(theta_hat, batch.dW, p, theta_max)
+    zeta, want_gap = zeta_projection(ms.theta, np.diff(ms.W_tilde, axis=1), p)
+    assert (ms.n_capped > 0) == (theta_max < 1.0)
+    z_T = ms.Z[:, -1]
+    want = {"E[Z_T]": z_T, "E[Z_T/zeta_T]": z_T / zeta[:, -1]}
+    for b in range(4):
+        incr = ms.W_tilde[:, edges[b + 1]] - ms.W_tilde[:, edges[b]]
+        for j in range(p.d):
+            want[f"E[Z_T dWtilde_{j + 1} bucket{b + 1}]"] = z_T * incr[:, j]
+    assert res.keys() == want.keys()
+    for name, values in want.items():
+        assert values.shape == (n_paths,) and np.array_equal(res[name], values), name
+    assert gap == want_gap and gap > 0
+
+
+@pytest.mark.parametrize("market", ["p1", "two_asset_measure"])
+def test_measure_samples_memory_budget(market, request):
+    # In units of one (n_paths, N + 1, d) float array: building the batch
+    # (4.3), after which the step loop keeps only R, dW and rows.  Filtering
+    # the whole batch first and keeping theta, Z, W~, H and zeta histories
+    # read 14.9 at d = 2.
+    p = (_two_asset_measure_market() if market == "two_asset_measure"
+         else request.getfixturevalue(market)).with_updates(n_steps=64)
+    edges = np.linspace(0, p.n_steps, 5).astype(int)
+    (peak,) = traced_peaks(lambda n, mark: _measure_samples(p, 5, n, edges, None, 10.0), p)
+    assert peak <= 5.0, peak
 
 
 @pytest.mark.parametrize("seed", [5, 11])
@@ -229,20 +275,52 @@ def test_optimality_probe_detects_underinvestment_with_known_drift(tmp_path):
 
 
 def test_optimality_probe_filters_each_chunk_once(tmp_path, monkeypatch):
+    # One whole-batch filter per chunk, shared by every policy: run_backtest,
+    # handed the estimate, builds no schedule of its own.
     from futopt import experiments, wealth
     from futopt.montecarlo import chunk_layout
 
-    calls, real = [], experiments.run_filter_batch
+    calls, schedules = [], []
+    real_filter, real_schedule = experiments.run_filter_batch, wealth.KalmanSchedule
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real_filter(*args, **kwargs)
+
+    def counted_schedule(*args, **kwargs):
+        schedules.append(1)
+        return real_schedule(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_filter_batch", counted)
-    monkeypatch.setattr(wealth, "run_filter_batch", counted)
+    monkeypatch.setattr(wealth, "KalmanSchedule", counted_schedule)
     cfg = _probe_cfg(0.3)
     assert run_experiment(cfg, out_dir=tmp_path, n_paths=TWO_CHUNKS["n_paths"]).status == 0
     assert len(calls) == len(chunk_layout(TWO_CHUNKS["n_paths"])) == 2
+    assert schedules == []
+
+
+@pytest.mark.parametrize("experiment", ["backtest", "verify-measure"])
+def test_backtest_and_verify_measure_step_one_schedule_per_chunk(tmp_path, monkeypatch, experiment):
+    # Neither experiment filters the whole batch: each chunk steps one
+    # KalmanSchedule inside its own loop.
+    from futopt import experiments, filtering, wealth
+    from futopt.montecarlo import chunk_layout
+
+    schedules, real = [], filtering.KalmanSchedule
+
+    def counted(*args, **kwargs):
+        schedules.append(1)
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("whole-batch filter")
+
+    monkeypatch.setattr(experiments, "run_filter_batch", forbidden)
+    monkeypatch.setattr(wealth, "KalmanSchedule", counted)
+    monkeypatch.setattr(experiments, "KalmanSchedule", counted)
+    cfg = _cfg(experiment, strategy={"p_cov0": 0.02})
+    assert run_experiment(cfg, out_dir=tmp_path, n_paths=TWO_CHUNKS["n_paths"]).status == 0
+    assert len(schedules) == len(chunk_layout(TWO_CHUNKS["n_paths"])) == 2
 
 
 def test_optimality_probe_trades_with_gearing_caps_and_integer_contracts(tmp_path):

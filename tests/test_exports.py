@@ -23,10 +23,13 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 #: Public names kept although only tests call them: independent oracles
 #: (the return-form recursion, the first-order Z recursion, the primal
-#: solution of the utility problem, the whole-path log-optimal closed forms)
-#: and the way in for observed prices.
+#: solution of the utility problem, the whole-path log-optimal closed forms,
+#: and the whole-path measure state and zeta projection that the backtest's
+#: density and verify-measure's step loop are pinned to) and the way in for
+#: observed prices.
 UNCALLED_ALLOWED = {"step_wealth", "martingale_recursion", "optimal_terminal_wealth",
-                    "log_optimal_closed_forms", "ingest_prices"}
+                    "log_optimal_closed_forms", "build_measure_state", "zeta_projection",
+                    "ingest_prices"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -260,9 +260,9 @@ def test_measure_state_invariants():
     dW = increments(p, 6)[None]
     theta = np.full((1, 252, 1), 0.4)
     ms = build_measure_state(theta, dW, p)
-    ms.validate()
     assert ms.Z[0, 0] == 1.0
     assert np.all(ms.Z > 0)
+    assert ms.gamma[0] == 1.0 and np.all(np.diff(ms.gamma) < 0)   # r > 0: strictly discounting
     assert np.all(ms.H > 0)
     assert np.allclose(ms.H, ms.gamma * ms.Z)
     assert np.all(ms.W_tilde[:, 0, :] == 0.0)

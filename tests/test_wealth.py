@@ -274,9 +274,11 @@ def test_step_major_memory_budget():
     # Peak traced memory in units of one (n_paths, N + 1, d) float array.
     # The batch is four units (F, R, beta, dW): the drift noise is freed once
     # beta is built, before the price noise is drawn.  A step-major build
-    # allocates little beyond them, and a backtest adds the filter's input
-    # and output (three units).  A whole-array path-major build, or a
-    # backtest that copies F and the returns step-major, needs about 10.
+    # allocates little beyond them, and a backtest adds only rows: it steps
+    # the filter itself, one row of returns and estimates at a time (4.4).
+    # Filtering the whole batch first adds the returns, the estimates and
+    # the innovations (three units, 7.05); a whole-array path-major build,
+    # or a backtest that copies F and the returns step-major, needs about 10.
     # A binding cap clips on most steps of every path; its events are
     # counted per path, so it costs no more memory than no cap.
     p = _params(varsigma=0.1, alpha=-0.5, c_spread=0.001, m=0.1, r=0.02, n_steps=64)
@@ -291,7 +293,7 @@ def test_step_major_memory_budget():
 
         sim_peak, run_peak = traced_peaks(run, p)
         assert sim_peak <= 4.6, (cap, sim_peak)
-        assert run_peak <= 7.5, (cap, run_peak)
+        assert run_peak <= 4.8, (cap, run_peak)
 
 
 def _density_oracle(batch, p, theta_max, monkeypatch):
@@ -332,19 +334,38 @@ def test_in_loop_density_matches_measure_oracle(p, monkeypatch):
     assert none.H_T is None and none.gamma is None and none.H is None
 
 
-@pytest.mark.parametrize("p", [_one_asset_costly(), TWO_ASSET], ids=["d1", "d2"])
-def test_given_estimate_matches_the_loops_own_filter(p):
-    batch = simulate_batch(p, 7, 32)
-    own = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=10.0)
-    beta_hat = run_filter_batch(batch.delta_R(), p).beta_hat
-    given = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat, theta_max=10.0)
-    for name in ("X", "X_T", "dead", "H_T"):
+_STREAM_CASES = {   # (market, n_paths, p_cov0, theta_max)
+    "d1": (_one_asset_costly(), 32, None, 10.0),
+    "d2": (TWO_ASSET, 32, None, 10.0),
+    "d1-one_path": (_one_asset_costly(), 1, None, 10.0),
+    "d2-one_path": (TWO_ASSET, 1, None, 10.0),
+    "d1-p_cov0": (_one_asset_costly(), 32, 0.02, 10.0),
+    "d2-p_cov0": (TWO_ASSET, 32, [[0.4, 0.1], [0.1, 0.3]], 10.0),
+    "d1-theta_cap": (_one_asset_costly(), 32, None, 0.5),
+    "d2-theta_cap": (TWO_ASSET, 32, 0.4, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_given_estimate_matches_the_loops_own_filter(case):
+    # The loop's own filter, stepped a row at a time, against the whole-batch
+    # filter's estimate handed in: every ledger field bit for bit.
+    p, n_paths, p_cov0, theta_max = _STREAM_CASES[case]
+    batch = simulate_batch(p, 7, n_paths)
+    own = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=theta_max, p_cov0=p_cov0)
+    beta_hat = run_filter_batch(batch.delta_R(), p, p_cov0).beta_hat
+    given = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat, theta_max=theta_max)
+    for name in ("X", "X_T", "dead", "H_T", "gamma", "H"):
         assert np.array_equal(getattr(own, name), getattr(given, name)), name
     for name in ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped"):
         assert np.array_equal(getattr(own.book, name), getattr(given.book, name), equal_nan=True), name
     assert own.events.keys() == given.events.keys() and own.n_capped == given.n_capped
+    assert (own.n_capped > 0) == (theta_max < 1.0)
     for name, counts in own.events.items():
         assert np.array_equal(counts, given.events[name]), name
+    if p_cov0 is not None:   # the prior reaches the loop's filter
+        default = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=theta_max)
+        assert not np.array_equal(default.X_T, own.X_T)
     with pytest.raises(ModelError, match="beta_hat must have"):
         run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat[:, 1:])
 
@@ -370,6 +391,12 @@ def test_strategy_cannot_write_into_shared_rows(field):
     with pytest.raises(ValueError, match="read-only"):
         run_backtest(batch, _Overwriting(field), p, x0=1e6, beta_hat=beta_hat)
     assert np.array_equal(beta_hat, before[0]) and np.array_equal(batch.F, before[1])
+
+
+def test_strategy_cannot_write_into_the_loops_own_estimate():
+    p = _one_asset_costly()
+    with pytest.raises(ValueError, match="read-only"):
+        run_backtest(simulate_batch(p, 7, 4), _Overwriting("beta_hat"), p, x0=1e6)
 
 
 def test_in_loop_density_overflow_names_path_and_step():
