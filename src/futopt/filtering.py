@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularModelError
+from .market import _times
 from .params import MarketParams, _as_matrix
 
 __all__ = [
@@ -60,8 +61,7 @@ class KalmanSchedule:
             raise SingularModelError("volatility matrix sigma")
         d, dt = params.d, params.delta_t
         self.dt = dt
-        A = np.eye(d) + params.alpha * dt
-        self.A_T = A.T
+        self.A = A = np.eye(d) + params.alpha * dt
         self.sigma_inv = np.linalg.inv(params.sigma)
         Q = params.varsigma @ params.varsigma.T * dt
         R_obs = params.noise_cov()
@@ -92,7 +92,7 @@ class KalmanSchedule:
         beta_hat and delta_R are (n_paths, d) rows; the residual is dR_n - beta_hat_n dt.
         """
         resid = delta_R - beta_hat * self.dt
-        return (beta_hat + resid @ self.gains[step].T) @ self.A_T, resid
+        return _times(beta_hat + _times(resid, self.gains[step]), self.A), resid
 
 
 @dataclass
@@ -132,7 +132,7 @@ def run_filter_batch(
     b = np.broadcast_to(params.beta0, (n_paths, d)).copy()
     for i in range(n):
         b, resid = ks.update(b, dR_steps[i], i)
-        nu_steps[i] = resid @ ks.sigma_inv.T
+        _times(resid, ks.sigma_inv, out=nu_steps[i])
         beta_steps[i + 1] = b
 
     return FilterHistory(

@@ -18,7 +18,19 @@ then raises ModelError, and the CLI exits 2.  Batches are built a block of
 steps at a time into step-major (N + 1, n_paths, d) buffers, with running
 sums and products row by row: np.cumsum and np.cumprod along the step axis
 of such memory ran about 5x slower than along a contiguous axis (47 vs 9 ms
-at 8192 x 252).
+at 8192 x 252).  For the same reason each path-major normal draw is copied
+into its step-major buffer in one whole-array transposition (10 ms at
+10 000 x 252) before it is scaled: scaling it block by block read the draw
+strided, two steps at a time, and took 29 ms.
+
+Every per-step row x matrix product on path-sized rows goes through _times.
+At d = 1, the shape of three of the four shipped configs, numpy 2.4.6's
+matmul of an (n, 1) block by a (1, 1) matrix ran 7-8x slower than a
+multiply (51-67 against 7-8 us at 8192-10 000 rows, one OpenBLAS thread),
+so there it is a multiply, plus 0.0 to give a zero product matmul's sign,
+into a C-order array, matmul's layout: the same bits in the same order.
+d >= 2 keeps its gemm call.  Every time above was taken on a 2-core x86-64
+host.
 """
 
 from __future__ import annotations
@@ -44,11 +56,12 @@ class PathBatch:
     """Market paths sharing one grid t_0 .. t_N; a single path is a batch of one.
 
     F, R and beta have N + 1 rows per path, the price increments dW have N;
-    dW2 is always None, the drift's increments being freed once beta is built.
-    The latent fields (beta, dW, guard_events) are None for paths ingested
-    from price data alone.  A built batch is stored step-major: each array is
-    an (n_paths, ..., d) view of an (N + 1 | N, n_paths, d) buffer, so a
-    step's row F[:, n] is contiguous and a path F[i] is strided.
+    dW2 is always None: the price noise overwrites the drift's increments
+    once beta is built.  The latent fields (beta, dW, guard_events) are None
+    for paths ingested from price data alone.  A built batch is stored
+    step-major: each array is an (n_paths, ..., d) view of an
+    (N + 1 | N, n_paths, d) buffer, so a step's row F[:, n] is contiguous
+    and a path F[i] is strided.
     """
 
     t_grid: np.ndarray
@@ -98,12 +111,27 @@ def _step_blocks(n: int, size: int) -> list[slice]:
     return [slice(j * n // k, (j + 1) * n // k) for j in range(k)]
 
 
-def _times(block: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """block @ M.T as one 2-D matmul, so every row goes through BLAS gemm.
+def _times(block: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """block @ M.T row-wise as a C-contiguous array (into out if given, which
+    must then be C-contiguous), bit for bit what the 2-D matmul gives.
 
-    A lone (1, d) row would go through gemv, which can round differently at d >= 2.
+    At d >= 2 the rows go through one BLAS gemm: a lone (1, d) row would go
+    through gemv, which can round differently.  At d = 1 the product is the
+    multiply block * M[0, 0], which rounds as the matmul does, plus 0.0,
+    which turns a -0.0 product into the +0.0 that matmul returns by adding
+    it to a zero sum.  The multiply allocates C order, as matmul does: a
+    K-order result of a strided block would change the summation order of
+    any later reduction over its last axis.
     """
-    return (block.reshape(-1, block.shape[-1]) @ M.T).reshape(block.shape)
+    if M.shape == (1, 1):
+        out = np.multiply(block, M[0, 0], out=out, order="C")
+        out += 0.0
+        return out
+    rows = block.reshape(-1, block.shape[-1])
+    if out is None:
+        return (rows @ M.T).reshape(block.shape)
+    np.matmul(rows, M.T, out=out.reshape(rows.shape))
+    return out
 
 
 def simulate_drift(params: MarketParams, dW2: np.ndarray) -> np.ndarray:
@@ -113,12 +141,12 @@ def simulate_drift(params: MarketParams, dW2: np.ndarray) -> np.ndarray:
     a view of a step-major buffer.
     """
     steps = np.moveaxis(np.asarray(dW2, dtype=float), -2, 0)
-    A_T = (np.eye(params.d) + params.alpha * params.delta_t).T
+    A = np.eye(params.d) + params.alpha * params.delta_t
     beta = np.empty((steps.shape[0] + 1,) + steps.shape[1:])
     beta[0] = params.beta0
     for s in _step_blocks(steps.shape[0], steps.size):
         for i, shock in enumerate(_times(steps[s], params.varsigma), s.start):
-            np.matmul(beta[i], A_T, out=beta[i + 1])
+            _times(beta[i], A, out=beta[i + 1])
             beta[i + 1] += shock
     return np.moveaxis(beta, 0, -2)
 
@@ -163,10 +191,14 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
 
     The drift noise and then the price noise are drawn from disjoint
     sub-streams of a single counter-based generator, so runs are reproducible
-    bit for bit and the drift noise can be freed once beta is built.  The
-    sub-streams are the first two children of the seed sequence, derived
-    without spawn(), which would advance the caller's spawn counter.  Each
-    draw is path-major, which fixes the stream, and written step-major.
+    bit for bit.  The sub-streams are the first two children of the seed
+    sequence, derived without spawn(), which would advance the caller's spawn
+    counter.  Each draw is path-major, which fixes the stream, and copied
+    step-major into dW, where the price noise overwrites the drift noise once
+    beta is built.  Both are drawn into one buffer: freeing a first draw
+    before allocating the second raises glibc's mmap threshold above the
+    draw's size, so in a worker thread the second draw would land in the
+    thread's arena and stay resident after it is freed.
     """
     if n_paths < 1:
         raise ModelError("n_paths must be a positive integer")
@@ -177,14 +209,13 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     )
     n, d = params.n_steps, params.d
     sqrt_dt, L = np.sqrt(params.delta_t), params.rho_cholesky()
-    dW2 = _generator(ss_w2).standard_normal((n_paths, n, d))
-    beta = simulate_drift(params, np.multiply(dW2, sqrt_dt, out=dW2))   # in place: no second copy
-    del dW2
-    dW = np.empty((n, n_paths, d))
-    z = _generator(ss_w).standard_normal((n_paths, n, d)).transpose(1, 0, 2)
-    for s in _step_blocks(n, z.size):
-        np.multiply(sqrt_dt, _times(z[s], L), out=dW[s])
-    del z
+    draw, dW = np.empty((n_paths, n, d)), np.empty((n, n_paths, d))
+    np.copyto(dW, _generator(ss_w2).standard_normal(out=draw).transpose(1, 0, 2))
+    beta = simulate_drift(params, np.multiply(dW, sqrt_dt, out=dW).transpose(1, 0, 2))
+    np.copyto(dW, _generator(ss_w).standard_normal(out=draw).transpose(1, 0, 2))
+    del draw
+    for s in _step_blocks(n, dW.size):
+        np.multiply(sqrt_dt, _times(dW[s], L), out=dW[s])
     return build_batch(params, dW.transpose(1, 0, 2), beta)
 
 

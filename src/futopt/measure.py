@@ -41,12 +41,13 @@ def relative_risk(beta_eff: np.ndarray, params: MarketParams) -> np.ndarray:
     """theta = (rho sigma)^{-1} beta_eff row-wise, any leading shape.
 
     beta_eff is typically the drift (or its estimate) net of the relative
-    cost term; with zero costs it is the drift itself.  The inverse is
-    applied through one 2-D matmul; at d = 1 that is bit-equal to solving.
+    cost term; with zero costs it is the drift itself.  The inverse, which
+    params computes once, is applied through _times; at d = 1 that is
+    bit-equal to solving.
     """
     beta_eff = np.asarray(beta_eff, dtype=float)
     try:
-        inv = np.linalg.inv(params.rho @ params.sigma)
+        inv = params.rho_sigma_inv
     except np.linalg.LinAlgError:
         raise SingularModelError("rho sigma product") from None
     theta = _times(beta_eff, inv)
@@ -119,7 +120,7 @@ def martingale_recursion(theta: np.ndarray, dW: np.ndarray) -> np.ndarray:
 def change_measure(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:
     """Shifted Brownian increments dW~ = dW + rho theta dt."""
     theta = np.asarray(theta, dtype=float)
-    return np.asarray(dW, dtype=float) + (theta @ params.rho) * params.delta_t
+    return np.asarray(dW, dtype=float) + _times(theta, params.rho.T) * params.delta_t
 
 
 def discount_and_density(params: MarketParams, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ market on an equidistant time grid t_n = t0 + n * delta_t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,12 @@ class MarketParams:
     def noise_cov(self) -> np.ndarray:
         """Covariance of one return-noise increment, sigma rho sigma* dt."""
         return self.sigma @ self.rho @ self.sigma.T * self.delta_t
+
+    @cached_property
+    def rho_sigma_inv(self) -> np.ndarray:
+        """(rho sigma)^{-1}, inverted once per parameter set for the step loops
+        that apply it on every step; raises LinAlgError if rho sigma is singular."""
+        return np.linalg.inv(self.rho @ self.sigma)
 
     def sigma_invertible(self) -> bool:
         return np.linalg.matrix_rank(self.sigma) == self.d

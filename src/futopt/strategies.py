@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
+from .market import _times
 from .params import MarketParams
 from .trading import cost_term, log_optimal_factor, payoff_transform
 
@@ -115,17 +116,17 @@ class LogOptimalStrategy(Strategy):
         self.mode = mode
         self.literal_product = literal_product
         self._params = None
-        self._factor_T = None
+        self._factor = None
 
     def reset(self, n_paths: int, params: MarketParams) -> None:
         self._params = params
-        self._factor_T = log_optimal_factor(params, self.literal_product).T
+        self._factor = log_optimal_factor(params, self.literal_product)
 
     def weights(self, obs: StrategyObs) -> np.ndarray:
         if obs.beta_hat is None:
             raise ModelError("log-optimal strategy needs a drift estimate")
         params = self._params
-        pi_zc = obs.beta_hat @ self._factor_T
+        pi_zc = _times(obs.beta_hat, self._factor)
         if self.mode == "zero_cost":
             return pi_zc
 
@@ -135,7 +136,7 @@ class LogOptimalStrategy(Strategy):
         c_hat = np.where(flagged, 0.0, c_hat)
         upsilon = payoff_transform(obs.beta_hat, c_hat, self.mode)
         upsilon = np.where(flagged, 0.0, upsilon)
-        return upsilon @ self._factor_T
+        return _times(upsilon, self._factor)
 
 
 class ScaledStrategy(Strategy):

@@ -164,8 +164,10 @@ def test_frozen_drift_matches_bayes_least_squares():
 def test_batch_filter_matches_single():
     # beta_hat and d_nu are stored step-major; the public (n_paths, ..., d)
     # views must hold what filtering a batch of one gives: bit for bit at
-    # d = 1, to rounding at d >= 2, where OpenBLAS picks its small-matmul
-    # kernel by row count and operand layout (the parent layout included)
+    # d = 1, where the filter's products are elementwise multiplies and no
+    # BLAS call runs, to rounding at d >= 2, where OpenBLAS picks its
+    # small-matmul kernel by row count and operand layout (the parent layout
+    # included)
     two_asset = MarketParams(
         d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
         rho=[[1.0, 0.3], [0.3, 1.0]], alpha=[[-0.5, 0.0], [0.1, -1.0]], varsigma=0.1,

@@ -71,8 +71,19 @@ def test_relative_risk_bit_equal_to_solve_at_d1(sigma):
 
 def test_relative_risk_singular_rho_sigma_raises():
     p = _params(d=2, sigma=np.ones((2, 2)), F0=np.array([100.0, 100.0]), beta0=np.zeros(2))
-    with pytest.raises(SingularModelError, match="rho sigma product"):
-        relative_risk(np.ones((3, 2)), p)
+    for _ in range(2):   # on every call: a failed inversion is not cached
+        with pytest.raises(SingularModelError, match="rho sigma product"):
+            relative_risk(np.ones((3, 2)), p)
+
+
+def test_rho_sigma_is_inverted_once_per_parameter_set():
+    # the step loops call relative_risk on every step with one params object
+    p = _params(d=2, sigma=[[0.2, 0.05], [0.0, 0.25]], rho=[[1.0, 0.3], [0.3, 1.0]],
+                F0=np.array([100.0, 100.0]), beta0=np.zeros(2))
+    inv = p.rho_sigma_inv
+    assert p.rho_sigma_inv is inv
+    assert np.array_equal(inv, np.linalg.inv(p.rho @ p.sigma))
+    assert p.with_updates(sigma=0.3).rho_sigma_inv[0, 0] != inv[0, 0]
 
 
 def test_cap_rescales_rows_and_counts():

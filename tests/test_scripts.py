@@ -57,3 +57,23 @@ def test_run_pipeline(tmp_path):
     }
     for sub in produced:
         assert (tmp_path / sub / "manifest.json").exists()
+
+
+def test_artifact_digests(tmp_path):
+    # one line per (experiment, config, workers); the artifacts are the same
+    # bytes at 1 and 2 workers, and each experiment's differ from the others'
+    args = ("--out", tmp_path, "--paths", 4, "--config", "configs/minimal.yaml")
+    proc = _run("artifact_digests.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[:3] for line in lines] == [
+        [name, "minimal.yaml", f"workers={w}"] for name in EXPERIMENTS for w in (1, 2)
+    ]
+    assert all(line[3] in ("exit=0", "exit=1") for line in lines)
+    digests = [line[4] for line in lines]
+    assert digests[0::2] == digests[1::2]
+    assert len(set(digests)) == len(EXPERIMENTS)
+    assert (tmp_path / "minimal" / "backtest" / "w2" / "summary.json").exists()
+
+    rerun = _run("artifact_digests.py", *args)   # into the same, now full, directory
+    assert rerun.returncode == 2 and "not empty" in rerun.stderr

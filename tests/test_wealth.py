@@ -221,9 +221,10 @@ def test_batch_matches_single_paths():
     # The ledger holds path 0's full record and every path's terminal state;
     # both must be what a run on a batch of one holding that path records.
     # Path i's full record is reached by rolling it into row 0.  At d = 1
-    # that is bit for bit.  At d >= 2 OpenBLAS picks its small-matmul kernel
-    # by row count and operand layout, so a one-row product can differ from
-    # the same row of a batch product in the last bit.
+    # that is bit for bit: every row x matrix product there is an elementwise
+    # multiply, which no BLAS call rounds.  At d >= 2 OpenBLAS picks its
+    # small-matmul kernel by row count and operand layout, so a one-row
+    # product can differ from the same row of a batch product in the last bit.
     names = ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped")
     for p in (_one_asset_costly(), TWO_ASSET):
         n, d = p.n_steps, p.d
