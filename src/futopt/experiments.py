@@ -21,7 +21,7 @@ from . import __version__ as _pkg_version
 from .config import ScenarioConfig, build_strategy
 from .errors import ConfigError, ModelError
 from .filtering import KalmanSchedule, run_filter_batch
-from .market import PathBatch, returns_from_prices, simulate_batch
+from .market import PathBatch, _dot, returns_from_prices, simulate_batch
 from .measure import _quad_form, cap_relative_risk, change_measure, log_martingale_step, relative_risk, zeta_step
 from .montecarlo import chunk_layout, run_chunked
 from .strategies import LaggedEstimateStrategy, LogOptimalStrategy, MaskedStrategy, ScaledStrategy
@@ -363,7 +363,7 @@ def _value_arbitration(params, seed: int, n_paths: int, x0: float, p_cov0=None):
     for i in range(n):
         theta = relative_risk(b, params)
         q[:, i] = _quad_form(theta, params.rho) * dt
-        term = q[:, i] * 0.5 + rate_dt + np.einsum("...i,...i->...", theta, dW[:, i])
+        term = q[:, i] * 0.5 + rate_dt + _dot(theta, dW[:, i])
         log_growth = term if log_growth is None else np.add(log_growth, term, out=log_growth)
         b, _ = ks.update(b, R[:, i + 1] - R[:, i], i)
     return log_optimal_report(q, log_growth, params, x0)

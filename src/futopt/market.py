@@ -19,18 +19,20 @@ steps at a time into step-major (N + 1, n_paths, d) buffers, with running
 sums and products row by row: np.cumsum and np.cumprod along the step axis
 of such memory ran about 5x slower than along a contiguous axis (47 vs 9 ms
 at 8192 x 252).  For the same reason each path-major normal draw is copied
-into its step-major buffer in one whole-array transposition (10 ms at
-10 000 x 252) before it is scaled: scaling it block by block read the draw
-strided, two steps at a time, and took 29 ms.
+into its step-major buffer before it is scaled: scaling it block by block
+read the draw strided, two steps at a time, and took 29 ms at 10 000 x 252.
+The copy is a transposition, _COPY_PATHS paths at a time, so the rows it
+reads and writes stay in cache: 2.3 ms at 8192 x 252, against 7.9 ms for
+one whole-array transposition.
 
-Every per-step row x matrix product on path-sized rows goes through _times.
-At d = 1, the shape of three of the four shipped configs, numpy 2.4.6's
-matmul of an (n, 1) block by a (1, 1) matrix ran 7-8x slower than a
-multiply (51-67 against 7-8 us at 8192-10 000 rows, one OpenBLAS thread),
-so there it is a multiply, plus 0.0 to give a zero product matmul's sign,
-into a C-order array, matmul's layout: the same bits in the same order.
-d >= 2 keeps its gemm call.  Every time above was taken on a 2-core x86-64
-host.
+Every per-step row x matrix product on path-sized rows goes through _times,
+and every row dot product through _dot.  At d = 1, the shape of three of the
+four shipped configs, numpy 2.4.6's matmul of an (n, 1) block by a (1, 1)
+matrix ran 7-8x slower than a multiply (51-67 against 7-8 us at 8192-10 000
+rows, one OpenBLAS thread), and einsum's row dot product 2-3x slower, so
+there each is a multiply, plus 0.0 to give a zero product the sign matmul or
+einsum gives it: the same bits in the same order.  d >= 2 keeps its gemm and
+einsum calls.  Every time above was taken on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -134,6 +136,33 @@ def _times(block: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """einsum("...i,...i->...", a, b), bit for bit: the dot product of each row.
+
+    At d = 1 the product is the multiply a * b, which rounds as einsum does,
+    plus 0.0, which turns a -0.0 product into the +0.0 einsum returns by
+    adding it to a zero sum.  Like einsum it warns of no overflow or invalid
+    product.
+    """
+    if a.shape[-1] == b.shape[-1] == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.multiply(a[..., 0], b[..., 0])
+        out += 0.0
+        return out
+    return np.einsum("...i,...i->...", a, b)
+
+
+#: Paths per block of the noise transposition: 256 paths x 252 steps is 0.5 MB.
+_COPY_PATHS = 256
+
+
+def _copy_step_major(out: np.ndarray, draw: np.ndarray) -> None:
+    """Copy a path-major (n_paths, N, d) draw into a step-major (N, n_paths, d)
+    buffer, _COPY_PATHS paths at a time."""
+    for j in range(0, draw.shape[0], _COPY_PATHS):
+        np.copyto(out[:, j : j + _COPY_PATHS], draw[j : j + _COPY_PATHS].transpose(1, 0, 2))
+
+
 def simulate_drift(params: MarketParams, dW2: np.ndarray) -> np.ndarray:
     """Latent drift path from given independent increments.
 
@@ -210,9 +239,9 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     n, d = params.n_steps, params.d
     sqrt_dt, L = np.sqrt(params.delta_t), params.rho_cholesky()
     draw, dW = np.empty((n_paths, n, d)), np.empty((n, n_paths, d))
-    np.copyto(dW, _generator(ss_w2).standard_normal(out=draw).transpose(1, 0, 2))
+    _copy_step_major(dW, _generator(ss_w2).standard_normal(out=draw))
     beta = simulate_drift(params, np.multiply(dW, sqrt_dt, out=dW).transpose(1, 0, 2))
-    np.copyto(dW, _generator(ss_w).standard_normal(out=draw).transpose(1, 0, 2))
+    _copy_step_major(dW, _generator(ss_w).standard_normal(out=draw))
     del draw
     for s in _step_blocks(n, dW.size):
         np.multiply(sqrt_dt, _times(dW[s], L), out=dW[s])

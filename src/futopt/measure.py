@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SingularModelError
-from .market import _times
+from .market import _dot, _times
 from .params import MarketParams
 
 __all__ = [
@@ -51,7 +51,7 @@ def relative_risk(beta_eff: np.ndarray, params: MarketParams) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularModelError("rho sigma product") from None
     theta = _times(beta_eff, inv)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise SingularModelError("rho sigma product")
     return theta
 
@@ -64,7 +64,7 @@ def cap_relative_risk(theta: np.ndarray, theta_max: float = 10.0) -> tuple[np.nd
     simulation rather than assumed.
     """
     theta = np.asarray(theta, dtype=float)
-    norms = np.linalg.norm(theta, axis=-1, keepdims=True)
+    norms = _row_norm(theta)
     over = norms > theta_max
     n_capped = int(np.count_nonzero(over))
     if n_capped == 0:
@@ -73,15 +73,31 @@ def cap_relative_risk(theta: np.ndarray, theta_max: float = 10.0) -> tuple[np.nd
     return theta * scale, n_capped
 
 
+def _row_norm(theta: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(theta, axis=-1, keepdims=True), bit for bit; at d = 1
+    that is sqrt(theta theta), which warns of an overflow as norm does."""
+    if theta.shape[-1] == 1:
+        return np.sqrt(theta * theta)
+    return np.linalg.norm(theta, axis=-1, keepdims=True)
+
+
 def _quad_form(theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """theta* rho theta per row, any leading shape."""
+    """theta* rho theta per row, any leading shape, bit for bit einsum's.  At
+    d = 1 that is (theta rho_00) theta + 0.0, in einsum's order, with its
+    +0.0 for a -0.0 product, and like einsum it warns of nothing."""
+    if rho.shape == (1, 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.multiply(theta[..., 0], rho[0, 0])
+            q *= theta[..., 0]
+        q += 0.0
+        return q
     return np.einsum("...i,ij,...j->...", theta, rho, theta)
 
 
 def log_martingale_step(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:
     """Increment of log Z over one step, -theta* dW - 1/2 theta* rho theta dt, per row."""
     theta = np.asarray(theta, dtype=float)
-    a = np.einsum("...i,...i->...", theta, np.asarray(dW, dtype=float))
+    a = _dot(theta, np.asarray(dW, dtype=float))
     q = _quad_form(theta, params.rho) * params.delta_t
     return -a - 0.5 * q
 
@@ -142,7 +158,7 @@ def zeta_step(theta_hat: np.ndarray, dW_tilde: np.ndarray, params: MarketParams)
     d(1/zeta) = (1/zeta) theta_hat* dW~ to every order below dt^2.  An exp(u) that
     overflows or underflows gives a NaN or inf gap, not a warning."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    a = np.einsum("...i,...i->...", theta_hat, np.asarray(dW_tilde, dtype=float))
+    a = _dot(theta_hat, np.asarray(dW_tilde, dtype=float))
     q = _quad_form(theta_hat, params.rho) * params.delta_t
     u = a - 0.5 * q
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -133,10 +133,10 @@ class LogOptimalStrategy(Strategy):
         with np.errstate(over="ignore"):   # an infinite target gives NaN weights, which the backtest names
             P_star = obs.X[..., None] * params.k * pi_zc / obs.C
         c_hat, flagged = cost_term(P_star, obs.P_prev, obs.C, params)
-        c_hat = np.where(flagged, 0.0, c_hat)
-        upsilon = payoff_transform(obs.beta_hat, c_hat, self.mode)
-        upsilon = np.where(flagged, 0.0, upsilon)
-        return _times(upsilon, self._factor)
+        if not flagged.any():   # the np.where calls would return their inputs' bits
+            return _times(payoff_transform(obs.beta_hat, c_hat, self.mode), self._factor)
+        upsilon = payoff_transform(obs.beta_hat, np.where(flagged, 0.0, c_hat), self.mode)
+        return _times(np.where(flagged, 0.0, upsilon), self._factor)
 
 
 class ScaledStrategy(Strategy):

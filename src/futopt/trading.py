@@ -37,9 +37,9 @@ def contract_price(F: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Cash price of one contract per asset, C = f * F (elementwise)."""
     F = np.asarray(F, dtype=float)
     f = np.asarray(f, dtype=float)
-    if np.any(F <= 0):
+    if (F <= 0).any():
         raise ModelError("futures prices must be strictly positive")
-    if np.any(f <= 0):
+    if (f <= 0).any():
         raise ModelError("contract unit values must be strictly positive")
     return f * F
 
@@ -92,17 +92,23 @@ def cost_term(
     can charge the cash amount directly.
     """
     P_now = np.asarray(P_now, dtype=float)
-    P_prev = np.asarray(P_prev, dtype=float)
-    dP = np.abs(P_now - P_prev)
+    return _relative_cost(np.abs(P_now - np.asarray(P_prev, dtype=float)), P_now, C, params, threshold)
+
+
+def _relative_cost(dP, P_now, C, params: MarketParams, threshold: float = ZERO_POSITION_THRESHOLD):
+    """cost_term from the traded size dP = |P_now - P_prev|, for a caller
+    that has it already.  A mask that selects nothing is not applied: the
+    np.where would return c_tilde's own bits."""
     trade = dP > 0
-    small = np.abs(P_now) < threshold
-    flagged = trade & small
+    flagged = trade & (np.abs(P_now) < threshold)
 
     denom = 2.0 * P_now * np.asarray(C, float) * params.delta_t
     with np.errstate(divide="ignore", invalid="ignore"):
         c_tilde = params.c_spread * params.f * dP / denom
-    c_tilde = np.where(trade, c_tilde, 0.0)
-    c_tilde = np.where(flagged, np.nan, c_tilde)
+    if not trade.all():
+        c_tilde = np.where(trade, c_tilde, 0.0)
+    if flagged.any():
+        c_tilde = np.where(flagged, np.nan, c_tilde)
     return c_tilde, flagged
 
 

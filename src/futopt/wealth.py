@@ -15,6 +15,11 @@ be written against the return decomposition,
 and the two agree to rounding whenever the relative cost is finite.  Wealth
 is admissible while nonnegative; a path whose wealth would go below zero is
 absorbed at zero and stays there.
+
+The backtest loop is bound by passes over path-sized rows, not by floating
+point work, so it computes each quantity once per step and skips each mask
+that selects no path, where np.where would return its input's bits; see
+run_backtest.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ import numpy as np
 
 from .errors import ModelError
 from .filtering import KalmanSchedule
-from .market import PathBatch
+from .market import PathBatch, _dot
 from .measure import cap_relative_risk, discount_and_density, log_martingale_step, relative_risk
 from .params import MarketParams
 from .strategies import Strategy, StrategyObs
-from .trading import PositionBook, contract_price, cost_term, position_from_weights
+from .trading import PositionBook, _relative_cost, contract_price, position_from_weights
 
 __all__ = [
     "WealthLedger",
@@ -74,15 +79,20 @@ def step_wealth_cash(
     delta_F: np.ndarray,
     params: MarketParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the cash-form recursion with positions in contracts."""
+    """One step of the cash-form recursion with positions in contracts.
+
+    The floor applies only when some wealth went below zero: the np.where
+    would otherwise return X_next's own bits."""
     X = np.asarray(X, dtype=float)
     P = np.asarray(P, dtype=float)
     dP = np.abs(P - np.asarray(P_prev, float))
-    gains = np.einsum("...i,...i->...", P, params.f * np.asarray(delta_F, float))
-    slippage = 0.5 * np.einsum("...i,...i->...", dP, params.c_spread * params.f)
+    gains = _dot(P, params.f * np.asarray(delta_F, float))
+    slippage = 0.5 * _dot(dP, params.c_spread * params.f)
     X_next = X + (1.0 - params.m) * params.r * params.delta_t * X + gains - slippage
     violated = X_next < 0
-    return np.where(violated, 0.0, X_next), violated
+    if violated.any():
+        X_next = np.where(violated, 0.0, X_next)
+    return X_next, violated
 
 
 @dataclass
@@ -140,7 +150,14 @@ def run_backtest(
     path 0 only, and for every path the terminal wealth X_T, the absorption
     flags and the event counts, added to once per step.  Step n reads row n
     of F, beta, dW and the filter's estimates: contiguous, with no copy, in a
-    step-major batch.
+    step-major batch.  Each step forms the trade P - P_prev and its size
+    once, for the relative cost and path 0's cash cost (step_wealth_cash
+    forms its own).  It zeroes absorbed paths' weights and positions only
+    once some path is absorbed, replaces non-finite relative costs only when
+    there are any, and counts violations, clips and cash-cost fallbacks only
+    on steps that have them: each skipped call would return its input's
+    bits or add zero.  No array handed to the strategy (F, C, X, P_prev,
+    beta_hat) is written after it is handed over.
 
     Given theta_max (np.inf for no cap) and a batch with latent beta and
     dW, the loop also builds the terminal state price density H_T = gamma_N
@@ -171,6 +188,7 @@ def run_backtest(
 
     X = np.full(n_paths, float(x0))
     dead = X <= 0
+    any_dead = bool(dead.any())
     P_prev = np.zeros((n_paths, d))
 
     # Path 0's record, one row per step.
@@ -199,7 +217,11 @@ def run_backtest(
         elif ks is not None:
             b.flags.writeable = False
         F_i = F_steps[i]
-        C_i = contract_price(F_i, params.f)
+        try:
+            C_i = contract_price(F_i, params.f)
+        except ModelError as err:   # params guarantee f > 0, so a price is at fault
+            j = int(np.argmax(np.any(F_i <= 0, axis=1)))
+            raise ModelError(f"{err}: F = {F_i[j].tolist()} at step {i} on path {j}") from None
         obs = StrategyObs(
             n=i,
             t=float(t_grid[i]),
@@ -212,26 +234,32 @@ def run_backtest(
         pi = np.asarray(strategy.weights(obs), dtype=float)
         if pi.shape != (n_paths, d):
             raise ModelError(f"strategy returned weights with shape {pi.shape}")
-        pi = np.where(dead[:, None], 0.0, pi)
+        if any_dead:
+            pi = np.where(dead[:, None], 0.0, pi)
 
         P, clipped = position_from_weights(X, pi, C_i, params.k, cap, integer_contracts)
-        P = np.where(dead[:, None], 0.0, P)
+        if any_dead:
+            P = np.where(dead[:, None], 0.0, P)
         if not np.isfinite(P).all():
             j = int(np.argmin(np.isfinite(P).all(axis=1)))
             raise ModelError(f"position X k pi / C is not finite at step {i} on path {j}: X = {X[j]:.6g}, "
                              f"k = {params.k.tolist()}, pi = {pi[j].tolist()}, C = {C_i[j].tolist()}")
         trade = P - P_prev
+        dP = np.abs(trade)
 
-        c_tilde, flagged = cost_term(P, P_prev, C_i, params)
-        delta_F = F_steps[i + 1] - F_i
-        X_next, violated = step_wealth_cash(X, P, P_prev, delta_F, params)
+        c_tilde, flagged = _relative_cost(dP, P, C_i, params)
+        X_next, violated = step_wealth_cash(X, P, P_prev, F_steps[i + 1] - F_i, params)
 
-        events["admissibility_violations"] += violated & ~dead
-        events["clip_events"] += np.count_nonzero(clipped, axis=1)
-        events["cash_cost_fallbacks"] += np.count_nonzero(flagged, axis=1)
+        if violated.any():
+            events["admissibility_violations"] += violated & ~dead
+        if clipped.any():
+            events["clip_events"] += np.count_nonzero(clipped, axis=1)
+        if flagged.any():
+            events["cash_cost_fallbacks"] += np.count_nonzero(flagged, axis=1)
 
         if density:
-            theta = relative_risk(beta_lat[i] - np.nan_to_num(c_tilde, nan=0.0), params)
+            c_net = c_tilde if np.isfinite(c_tilde).all() else np.nan_to_num(c_tilde, nan=0.0)
+            theta = relative_risk(beta_lat[i] - c_net, params)
             theta, capped = cap_relative_risk(theta, theta_max)
             n_capped += capped
             log_z += log_martingale_step(theta, dW_steps[i], params)
@@ -246,13 +274,14 @@ def run_backtest(
         P_hist[i] = P[0]
         trade_hist[i] = trade[0]
         ct_hist[i] = c_tilde[0]
-        cash_hist[i] = 0.5 * params.c_spread * params.f * np.abs(trade[0])
+        cash_hist[i] = 0.5 * params.c_spread * params.f * dP[0]
         clip_hist[i] = clipped[0]
         C_hist[i] = C_i[0]
 
-        dead = dead | violated | (X_next <= 0)
+        dead |= X_next <= 0   # a violated path's wealth was floored to zero
+        any_dead = bool(dead.any())
         X = X_next
-        P_prev = np.where(dead[:, None], 0.0, P)
+        P_prev = np.where(dead[:, None], 0.0, P) if any_dead else P
         if ks is not None:
             b, _ = ks.update(b, R_steps[i + 1] - R_steps[i], i)
 

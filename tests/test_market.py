@@ -14,7 +14,7 @@ from futopt import (
     simulate_batch,
     simulate_drift,
 )
-from futopt.market import _times
+from futopt.market import _dot, _times
 
 
 def _params(**over):
@@ -104,6 +104,25 @@ def test_times_is_one_gemm_at_d2():
         assert got.flags.c_contiguous and np.array_equal(got, want)
         out = np.empty(block.shape)
         assert _times(block, M, out=out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("m", [2.0, -0.5, 0.0, -0.0, 1e-10, 1e200, -np.inf, np.nan])
+def test_dot_is_the_einsum_bit_for_bit_at_d1(m):
+    # At d = 1, _dot multiplies: its bits must be einsum's, a -0.0 product
+    # included, which einsum returns as +0.0.  Like einsum it must warn of
+    # no overflow or invalid product (pytest turns a warning into an error).
+    draw = np.broadcast_to(_EDGES, (4, _EDGES.size))[:, :, None].copy()   # (paths, steps, 1)
+    for rows in (_EDGES[:, None], draw.transpose(1, 0, 2)[1::2]):
+        for other in (np.full(rows.shape, m), np.array([m]), rows):
+            want, got = np.einsum("...i,...i->...", rows, other), _dot(rows, other)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_dot_is_the_einsum_at_d2():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((5, 2)), rng.standard_normal((3, 5, 2))
+    assert np.array_equal(_dot(a, b), np.einsum("...i,...i->...", a, b))
 
 
 # -- drift ------------------------------------------------------------------
@@ -205,15 +224,21 @@ def test_positivity_guard_floors_factor():
 def test_positivity_floor_underflows_after_about_40_hits():
     # Each guarded step multiplies F by pos_floor = 1e-8: from F0 = 100 the
     # price reaches 0.0 after about 40 hits, and trading on it then fails
-    # with a named ModelError (the CLI's exit 2).
+    # with a ModelError (the CLI's exit 2) naming the first step at which a
+    # contract is priced at zero, and the first path there.
     from futopt import ZeroStrategy, run_backtest
 
     p = _params(sigma=30.0, n_steps=252)
     batch = simulate_batch(p, 0, 2)
     assert np.all(batch.guard_events > 40)
     assert np.all(batch.F[:, -1] == 0.0)
-    with pytest.raises(ModelError, match="strictly positive"):
-        run_backtest(batch, ZeroStrategy(), p, 1.0)
+    flipped = build_batch(p, batch.dW[::-1], batch.beta[::-1])   # the same two paths, swapped
+    for b, path in ((batch, 0), (flipped, 1)):
+        zero = np.any(b.F[:, :-1] <= 0, axis=2)           # (paths, steps) priced at zero
+        step = int(np.argmax(zero.any(axis=0)))
+        assert 0 < step < p.n_steps and int(np.argmax(zero[:, step])) == path
+        with pytest.raises(ModelError, match=rf"strictly positive: F = \[0\.0\] at step {step} on path {path}$"):
+            run_backtest(b, ZeroStrategy(), p, 1.0)
 
 
 def test_guard_absent_for_tame_parameters():

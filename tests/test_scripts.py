@@ -1,6 +1,7 @@
 """Smoke tests for scripts/: each runs end to end at a tiny size."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -77,3 +78,18 @@ def test_artifact_digests(tmp_path):
 
     rerun = _run("artifact_digests.py", *args)   # into the same, now full, directory
     assert rerun.returncode == 2 and "not empty" in rerun.stderr
+
+
+def test_layer_timings():
+    proc = _run("layer_timings.py", "--paths", 64, "--steps", 16, "--repeat", 1)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["paths"], report["steps"], report["repeat"]) == (64, 16, 1)
+    assert list(report["seconds"]) == [
+        "simulate_batch", "run_filter_batch", "strategy_weights", "run_backtest_own_filter",
+        "run_backtest_given_density", "run_backtest_given_no_density", "run_backtest_given_density_d2",
+        "run_backtest_given_density_absorbed", "build_measure_state", "double_conjugate_grid_3x",
+        "write_csv_ledger",
+    ]
+    assert all(s > 0 for s in report["seconds"].values())
+    assert 0.5 < report["absorbed_fraction"] <= 1.0

@@ -110,6 +110,11 @@ def test_no_trade_no_cost_even_at_zero_position():
     c, flagged = cost_term(np.array([0.0]), np.array([0.0]), np.array([5000.0]), p)
     assert c[0] == 0.0
     assert not flagged.any()
+    # beside a row that trades, and as +0.0, not 0 / (2 P C dt) = -0.0, when short
+    c, flagged = cost_term(np.array([[0.0], [-10.0], [12.0]]), np.array([[0.0], [-10.0], [10.0]]),
+                           np.full((3, 1), 5000.0), p)
+    assert np.array_equal(c[:2].view(np.uint64), np.zeros((2, 1)).view(np.uint64)) and c[2, 0] > 0
+    assert not flagged.any()
 
 
 def test_halving_dt_doubles_cost_bitwise():
@@ -149,6 +154,9 @@ def test_near_zero_position_with_trade_flagged():
     c, flagged = cost_term(np.array([0.5]), np.array([5.0]), np.array([5000.0]), p)
     assert flagged[0]
     assert np.isnan(c[0])
+    c, flagged = cost_term(np.array([[0.5], [12.0]]), np.array([[5.0], [10.0]]), np.full((2, 1), 5000.0), p)
+    assert flagged[:, 0].tolist() == [True, False]
+    assert np.isnan(c[0, 0]) and c[1, 0] > 0
 
 
 # -- cost anchored at a target position --------------------------------------

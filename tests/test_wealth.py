@@ -24,6 +24,11 @@ from futopt import (
     step_wealth_cash,
 )
 from futopt.experiments import _ledger_rows, _write_csv
+from futopt.filtering import KalmanSchedule
+from futopt.measure import cap_relative_risk, discount_and_density, log_martingale_step
+from futopt.strategies import StrategyObs
+from futopt.trading import contract_price, cost_term, position_from_weights
+from futopt.wealth import EVENTS
 
 
 def _params(**over):
@@ -297,37 +302,148 @@ def test_step_major_memory_budget():
         assert run_peak <= 4.8, (cap, run_peak)
 
 
-def _density_oracle(batch, p, theta_max, monkeypatch):
+def _reference_backtest(batch, strategy, p, x0, beta_hat=None, cap=None, integer_contracts=False,
+                        theta_max=None):
+    """run_backtest written out step by step from the public per-step
+    functions, without its shortcuts: the oracle its ledger is pinned to.
+    Returns the ledger's fields by name and every path's relative cost per
+    step, (n_paths, N, d)."""
+    n_paths, n_grid, d = batch.F.shape
+    n = n_grid - 1
+    ks = KalmanSchedule(p, n) if beta_hat is None else None
+    b = np.broadcast_to(p.beta0, (n_paths, d)).copy()
+    X = np.full(n_paths, float(x0))
+    dead = X <= 0
+    P_prev = np.zeros((n_paths, d))
+    log_z, n_capped = np.zeros(n_paths), 0
+    book = {name: [] for name in ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped")}
+    X_0, Z_0, costs = [X[0]], [1.0], []
+    events = {name: np.zeros(n_paths, dtype=np.int64) for name in EVENTS}
+    strategy.reset(n_paths, p)
+    for i in range(n):
+        if beta_hat is not None:
+            b = beta_hat[:, i]
+        F = batch.F[:, i]
+        C = contract_price(F, p.f)
+        obs = StrategyObs(n=i, t=float(batch.t_grid[i]), F=F, C=C, X=X, P_prev=P_prev, beta_hat=b)
+        pi = np.where(dead[:, None], 0.0, strategy.weights(obs))
+        P, clipped = position_from_weights(X, pi, C, p.k, cap, integer_contracts)
+        P = np.where(dead[:, None], 0.0, P)
+        c_tilde, flagged = cost_term(P, P_prev, C, p)
+        X_next, violated = step_wealth_cash(X, P, P_prev, batch.F[:, i + 1] - F, p)
+        events["admissibility_violations"] += violated & ~dead
+        events["clip_events"] += np.count_nonzero(clipped, axis=1)
+        events["cash_cost_fallbacks"] += np.count_nonzero(flagged, axis=1)
+        if theta_max is not None:
+            theta = relative_risk(batch.beta[:, i] - np.nan_to_num(c_tilde, nan=0.0), p)
+            theta, capped = cap_relative_risk(theta, theta_max)
+            n_capped += capped
+            log_z = log_z + log_martingale_step(theta, batch.dW[:, i], p)
+            Z_0.append(np.exp(log_z[:1])[0])
+        trade = P - P_prev
+        rows = (C, pi, P, trade, c_tilde, 0.5 * p.c_spread * p.f * np.abs(trade), clipped)
+        for name, row in zip(book, rows):
+            book[name].append(row[0])
+        X_0.append(X_next[0])
+        costs.append(c_tilde)
+        dead = dead | violated | (X_next <= 0)
+        X = X_next
+        P_prev = np.where(dead[:, None], 0.0, P)
+        if ks is not None:
+            b, _ = ks.update(b, batch.R[:, i + 1] - batch.R[:, i], i)
+    gamma, H = discount_and_density(p, np.array(Z_0)) if theta_max is not None else (None, None)
+    fields = {
+        "t_grid": batch.t_grid, "X": np.array(X_0)[None], "X_T": X, "dead": dead, "n_capped": n_capped,
+        "H_T": gamma[-1] * np.exp(log_z) if theta_max is not None else None, "gamma": gamma, "H": H,
+        **{name: np.array(rows)[None] for name, rows in book.items()},
+        **events,
+    }
+    return fields, np.stack(costs, axis=1)
+
+
+def _assert_ledger_is(ledger, fields):
+    """Every ledger field bit for bit, the sign of a zero and a NaN's bits included."""
+    got = {name: getattr(ledger, name) for name in ("t_grid", "X", "X_T", "dead", "n_capped", "H_T", "gamma", "H")}
+    got.update({name: getattr(ledger.book, name) for name in ("C", "pi", "P", "trade", "c_tilde", "cash_cost",
+                                                              "clipped")})
+    got.update(ledger.events)
+    assert got.keys() == fields.keys()
+    for name, want in fields.items():
+        if want is None or np.ndim(want) == 0:
+            assert got[name] == want, name
+        else:
+            assert got[name].shape == want.shape and got[name].dtype == want.dtype, name
+            bits = np.uint64 if want.dtype == float else want.dtype
+            assert np.array_equal(got[name].view(bits), want.view(bits)), name
+
+
+#: (market, LogOptimalStrategy mode, run_backtest keywords, what the case must exercise)
+_REFERENCE_CASES = {
+    "d1-soft_threshold-theta_cap": (_one_asset_costly(), "soft_threshold", dict(theta_max=0.5), ("capped",)),
+    "d1-zero_cost-caps-integer": (_one_asset_costly(), "zero_cost",
+                                  dict(cap=np.array([360.0]), integer_contracts=True, theta_max=10.0), ("clipped",)),
+    "d1-literal-absorbed": (_one_asset_costly().with_updates(k=np.array([20.0])), "literal",
+                            dict(theta_max=np.inf), ("dead", "fallbacks")),
+    "d1-zero_cost-fallbacks": (_one_asset_costly().with_updates(k=np.array([0.003])), "zero_cost",
+                               dict(theta_max=10.0), ("fallbacks",)),
+    "d2-soft_threshold-theta_cap": (TWO_ASSET, "soft_threshold", dict(theta_max=0.5), ("capped",)),
+    "d2-zero_cost-caps-integer": (TWO_ASSET, "zero_cost",
+                                  dict(cap=np.array([40.0, 1500.0]), integer_contracts=True), ("clipped",)),
+    "d2-literal-absorbed": (TWO_ASSET.with_updates(k=np.array([15.0, 15.0])), "literal",
+                            dict(theta_max=10.0), ("dead", "fallbacks")),
+    "d2-soft_threshold-fallbacks": (TWO_ASSET.with_updates(k=np.array([0.002, 0.002])), "soft_threshold",
+                                    dict(theta_max=10.0), ("fallbacks",)),
+}
+
+
+@pytest.mark.parametrize("given_estimate", [False, True], ids=["own_filter", "beta_hat"])
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_backtest_matches_reference_loop(case, given_estimate):
+    # The loop computes each trade once and skips every mask that selects
+    # nothing; none of that may move a bit of any ledger field.  Each case
+    # has steps where its mask selects some paths and steps where it selects
+    # none: a share of the paths, not all, is capped, clipped, absorbed or
+    # charged in cash.
+    p, mode, kw, exercised = _REFERENCE_CASES[case]
+    n_paths = 48
+    batch = simulate_batch(p, 13, n_paths)
+    beta_hat = run_filter_batch(batch.delta_R(), p).beta_hat if given_estimate else None
+    ledger = run_backtest(batch, LogOptimalStrategy(mode), p, x0=1e6, beta_hat=beta_hat, **kw)
+    fields, _ = _reference_backtest(batch, LogOptimalStrategy(mode), p, 1e6, beta_hat, **kw)
+    _assert_ledger_is(ledger, fields)
+    all_steps = n_paths * p.n_steps * p.d
+    shown = {
+        "capped": 0 < ledger.n_capped < n_paths * p.n_steps,
+        "clipped": 0 < ledger.events["clip_events"].sum() < all_steps,
+        "dead": 0 < ledger.dead.sum() < n_paths,
+        "fallbacks": 0 < ledger.events["cash_cost_fallbacks"].sum() < all_steps,
+    }
+    assert all(shown[tag] for tag in exercised), shown
+
+
+def _density_oracle(batch, p, theta_max):
     """Backtest with the in-loop density, plus build_measure_state on the
-    whole batch from the relative costs the loop computed for every path."""
-    from futopt import trading, wealth
-
-    costs = []
-
-    def recording_cost_term(*args):
-        c_tilde, flagged = trading.cost_term(*args)
-        costs.append(c_tilde.copy())
-        return c_tilde, flagged
-
-    monkeypatch.setattr(wealth, "cost_term", recording_cost_term)
+    whole batch from the relative costs the reference loop computed for
+    every path."""
     ledger = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=theta_max)
-    c_tilde = np.nan_to_num(np.stack(costs, axis=1), nan=0.0)
-    theta = relative_risk(batch.beta[:, : p.n_steps] - c_tilde, p)
+    fields, costs = _reference_backtest(batch, LogOptimalStrategy(), p, 1e6, theta_max=theta_max)
+    _assert_ledger_is(ledger, fields)
+    theta = relative_risk(batch.beta[:, : p.n_steps] - np.nan_to_num(costs, nan=0.0), p)
     return ledger, build_measure_state(theta, batch.dW, p, theta_max)
 
 
 @pytest.mark.parametrize("p", [_one_asset_costly(), TWO_ASSET], ids=["d1", "d2"])
-def test_in_loop_density_matches_measure_oracle(p, monkeypatch):
+def test_in_loop_density_matches_measure_oracle(p):
     batch = simulate_batch(p, 5, 64)
     theta_max = 0.5   # binds on a share of the rows, not on all of them
-    ledger, ms = _density_oracle(batch, p, theta_max, monkeypatch)
+    ledger, ms = _density_oracle(batch, p, theta_max)
     assert 0 < ledger.n_capped < 64 * p.n_steps
     assert ledger.n_capped == ms.n_capped
     assert _same(ledger.H_T, ms.H[:, -1], p.d == 1)
     assert np.array_equal(ledger.gamma, ms.gamma)
     assert _same(ledger.H, ms.H[0], p.d == 1)
     # np.inf is an uncapped density; None (the default) builds none
-    uncapped, ms_inf = _density_oracle(batch, p, np.inf, monkeypatch)
+    uncapped, ms_inf = _density_oracle(batch, p, np.inf)
     assert uncapped.n_capped == ms_inf.n_capped == 0
     assert _same(uncapped.H_T, ms_inf.H[:, -1], p.d == 1)
     assert _same(uncapped.H, ms_inf.H[0], p.d == 1)
