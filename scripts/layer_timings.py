@@ -17,8 +17,10 @@ seconds, each the best of --repeat calls:
   configs/two_asset_measure.yaml market, and at d = 1 with gearing k = 50,
   where most paths are absorbed at zero wealth (absorbed_fraction says how
   many);
-- build_measure_state on the whole batch, double_conjugate_grid for 3 x,
-  and _write_csv of one ledger.
+- build_measure_state on the whole batch, duality-report's value
+  arbitration (its own batch of --paths paths, filtered as it goes),
+  double_conjugate_grid for 3 x, conjugate_grid_sup over that call's
+  4001-point y grid (the U~ build), and _write_csv of one ledger.
 
 BLAS runs on one thread unless the environment says otherwise, so the
 numbers compare across hosts with different core counts.
@@ -41,6 +43,7 @@ import numpy as np
 from futopt import (
     LogOptimalStrategy,
     build_measure_state,
+    conjugate_grid_sup,
     double_conjugate_grid,
     log_utility,
     relative_risk,
@@ -49,7 +52,7 @@ from futopt import (
     simulate_batch,
 )
 from futopt.config import load_config
-from futopt.experiments import _ledger_rows, _write_csv
+from futopt.experiments import _ledger_rows, _value_arbitration, _write_csv
 from futopt.strategies import StrategyObs
 from futopt.trading import contract_price
 
@@ -96,7 +99,7 @@ def main() -> None:
     theta = relative_risk(batch.beta[:, :-1], params)
     ledger = run_backtest(batch, LogOptimalStrategy(), params, x0, beta_hat=beta_hat, theta_max=theta_max)
     absorbed = run_backtest(batch, LogOptimalStrategy(), geared, x0, beta_hat=beta_hat, theta_max=theta_max)
-    xs = np.array([0.5, 1.0, 2.0])
+    xs, y_grid = np.array([0.5, 1.0, 2.0]), np.geomspace(1e-8, 1e8, 4001)
     r = args.repeat
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,7 +119,11 @@ def main() -> None:
             "run_backtest_given_density_absorbed": best_of(r, lambda: run_backtest(
                 batch, LogOptimalStrategy(), geared, x0, beta_hat=beta_hat, theta_max=theta_max)),
             "build_measure_state": best_of(r, lambda: build_measure_state(theta, batch.dW, params, theta_max)),
+            "value_arbitration": best_of(r, lambda: _value_arbitration(
+                params, seed, args.paths, x0, cfg.strategy.p_cov0)),
             "double_conjugate_grid_3x": best_of(r, lambda: double_conjugate_grid(log_utility(), xs)),
+            "grid_sup_4001": best_of(r, lambda: conjugate_grid_sup(
+                log_utility(), y_grid, n_grid=801, n_refine=40)),
             "write_csv_ledger": best_of(r, lambda: _write_csv(ledger_csv, *_ledger_rows(ledger))),
         }
 

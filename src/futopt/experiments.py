@@ -362,8 +362,8 @@ def _value_arbitration(params, seed: int, n_paths: int, x0: float, p_cov0=None):
     b = np.broadcast_to(params.beta0, (n_paths, params.d)).copy()
     for i in range(n):
         theta = relative_risk(b, params)
-        q[:, i] = _quad_form(theta, params.rho) * dt
-        term = q[:, i] * 0.5 + rate_dt + _dot(theta, dW[:, i])
+        q[:, i] = q_i = _quad_form(theta, params.rho) * dt
+        term = q_i * 0.5 + rate_dt + _dot(theta, dW[:, i])
         log_growth = term if log_growth is None else np.add(log_growth, term, out=log_growth)
         b, _ = ks.update(b, R[:, i + 1] - R[:, i], i)
     return log_optimal_report(q, log_growth, params, x0)

@@ -21,9 +21,10 @@ of such memory ran about 5x slower than along a contiguous axis (47 vs 9 ms
 at 8192 x 252).  For the same reason each path-major normal draw is copied
 into its step-major buffer before it is scaled: scaling it block by block
 read the draw strided, two steps at a time, and took 29 ms at 10 000 x 252.
-The copy is a transposition, _COPY_PATHS paths at a time, so the rows it
-reads and writes stay in cache: 2.3 ms at 8192 x 252, against 7.9 ms for
-one whole-array transposition.
+Each stream is drawn _COPY_PATHS paths at a time into a 0.5 MB buffer and
+copied from there, so the rows the transposition reads and writes stay in
+cache (2.3 ms at 8192 x 252, against 7.9 ms for one whole-array
+transposition) and no path-sized draw buffer is allocated.
 
 Every per-step row x matrix product on path-sized rows goes through _times,
 and every row dot product through _dot.  At d = 1, the shape of three of the
@@ -152,15 +153,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-#: Paths per block of the noise transposition: 256 paths x 252 steps is 0.5 MB.
+#: Paths per block of a noise draw: 256 paths x 252 steps is 0.5 MB.
 _COPY_PATHS = 256
 
 
-def _copy_step_major(out: np.ndarray, draw: np.ndarray) -> None:
-    """Copy a path-major (n_paths, N, d) draw into a step-major (N, n_paths, d)
-    buffer, _COPY_PATHS paths at a time."""
-    for j in range(0, draw.shape[0], _COPY_PATHS):
-        np.copyto(out[:, j : j + _COPY_PATHS], draw[j : j + _COPY_PATHS].transpose(1, 0, 2))
+def _draw_step_major(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill a step-major (N, n_paths, d) out with gen's path-major standard
+    normal stream, drawn _COPY_PATHS paths at a time into one buffer and
+    copied from there.  Consecutive draws continue one stream, so the bits
+    are those of one whole-array draw, transposed."""
+    n, n_paths, d = out.shape
+    buf = np.empty((min(_COPY_PATHS, n_paths), n, d))
+    for j in range(0, n_paths, _COPY_PATHS):
+        block = gen.standard_normal(out=buf[: min(_COPY_PATHS, n_paths - j)])
+        np.copyto(out[:, j : j + len(block)], block.transpose(1, 0, 2))
 
 
 def simulate_drift(params: MarketParams, dW2: np.ndarray) -> np.ndarray:
@@ -222,12 +228,11 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     sub-streams of a single counter-based generator, so runs are reproducible
     bit for bit.  The sub-streams are the first two children of the seed
     sequence, derived without spawn(), which would advance the caller's spawn
-    counter.  Each draw is path-major, which fixes the stream, and copied
-    step-major into dW, where the price noise overwrites the drift noise once
-    beta is built.  Both are drawn into one buffer: freeing a first draw
-    before allocating the second raises glibc's mmap threshold above the
-    draw's size, so in a worker thread the second draw would land in the
-    thread's arena and stay resident after it is freed.
+    counter.  Each stream is path-major, which fixes its bits, and is drawn a
+    block of paths at a time and copied step-major into dW, where the price
+    noise overwrites the drift noise once beta is built.
+    With varsigma = 0 the drift noise would only be multiplied by zero, so it
+    is not drawn: beta is built from a zero shock.
     """
     if n_paths < 1:
         raise ModelError("n_paths must be a positive integer")
@@ -238,11 +243,13 @@ def simulate_batch(params: MarketParams, seed, n_paths: int) -> PathBatch:
     )
     n, d = params.n_steps, params.d
     sqrt_dt, L = np.sqrt(params.delta_t), params.rho_cholesky()
-    draw, dW = np.empty((n_paths, n, d)), np.empty((n, n_paths, d))
-    _copy_step_major(dW, _generator(ss_w2).standard_normal(out=draw))
-    beta = simulate_drift(params, np.multiply(dW, sqrt_dt, out=dW).transpose(1, 0, 2))
-    _copy_step_major(dW, _generator(ss_w).standard_normal(out=draw))
-    del draw
+    dW = np.empty((n, n_paths, d))
+    if np.any(params.varsigma != 0):
+        _draw_step_major(_generator(ss_w2), dW)
+        beta = simulate_drift(params, np.multiply(dW, sqrt_dt, out=dW).transpose(1, 0, 2))
+    else:
+        beta = simulate_drift(params, np.broadcast_to(0.0, (n_paths, n, d)))
+    _draw_step_major(_generator(ss_w), dW)
     for s in _step_blocks(n, dW.size):
         np.multiply(sqrt_dt, _times(dW[s], L), out=dW[s])
     return build_batch(params, dW.transpose(1, 0, 2), beta)

@@ -61,14 +61,15 @@ def cap_relative_risk(theta: np.ndarray, theta_max: float = 10.0) -> tuple[np.nd
 
     A crude integrability safeguard: with the cap in force the exponential
     martingale has moments of every order, and E[Z] = 1 can be checked by
-    simulation rather than assumed.
+    simulation rather than assumed.  When no row is capped, theta itself
+    comes back, not a copy.
     """
     theta = np.asarray(theta, dtype=float)
     norms = _row_norm(theta)
     over = norms > theta_max
     n_capped = int(np.count_nonzero(over))
     if n_capped == 0:
-        return theta.copy(), 0
+        return theta, 0
     scale = np.where(over, theta_max / np.where(norms > 0, norms, 1.0), 1.0)
     return theta * scale, n_capped
 
@@ -205,7 +206,7 @@ def build_measure_state(
 ) -> MeasureState:
     """Assemble Z, W~, gamma, H from a relative risk path and increments: the
     whole-path oracle of run_backtest's density and verify-measure's step loop."""
-    theta = np.asarray(theta, dtype=float)
+    theta = np.array(theta, dtype=float)     # the state's own copy, capped or not
     n_capped = 0
     if theta_max is not None:
         theta, n_capped = cap_relative_risk(theta, theta_max)

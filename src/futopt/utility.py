@@ -142,6 +142,10 @@ def conjugate(u: UtilitySpec, y) -> np.ndarray:
     return u.u(i) - i * y
 
 
+# y rows per grid pass: (rows, 801) temporaries of about 1.6 MB leave peak RSS where it was.
+_Y_BLOCK = 256
+
+
 def _golden_section_max(f: Callable, a, b, n_iter: int):
     """Golden-section search (Kiefer 1953) for a maximum of f on [a, b].
 
@@ -156,7 +160,8 @@ def _golden_section_max(f: Callable, a, b, n_iter: int):
     for _ in range(n_iter):
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-        p = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        step = invphi * (b - a)
+        p = np.where(left, b - step, a + step)
         fp = f(p)
         c, d = np.where(left, p, d), np.where(left, c, p)
         fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
@@ -176,18 +181,23 @@ def conjugate_grid_sup(
     Independent of the inverse marginal: locates the argmax on a dense grid,
     then tightens with golden-section search over the bracketing interval.
     y may be a scalar (a float comes back) or an array (the same shape comes
-    back, bit-equal to scalar calls element by element).  An array costs a
-    (y.size, n_grid) temporary, so callers pass long y grids in blocks of rows.
-    A scalar runs as shape (1,): numpy selections on 0-d values cost more.
+    back, bit-equal to scalar calls element by element).  The grid pass takes
+    _Y_BLOCK rows of y at a time, so its (rows, n_grid) temporary stays
+    bounded, and one golden-section search refines every row.
     """
     y = np.asarray(y, dtype=float)
-    scalar, y = y.ndim == 0, np.atleast_1d(y)
+    shape, y = y.shape, y.ravel()
     if np.any(y <= 0):
         raise ModelError("conjugate is defined for y > 0")
     x = np.geomspace(x_lo, x_hi, n_grid)
-    vals = u.u(x) - x * y[..., None]
-    j = np.argmax(vals, axis=-1)
-    v_j = np.take_along_axis(vals, j[..., None], axis=-1)[..., 0]
+    ux = u.u(x)
+    j, v_j = np.empty(y.size, dtype=np.intp), np.empty(y.size)
+    for k in range(0, y.size, _Y_BLOCK):
+        rows = slice(k, k + _Y_BLOCK)
+        vals = np.multiply(x, y[rows, None])
+        np.subtract(ux, vals, out=vals)
+        j[rows] = np.argmax(vals, axis=-1)
+        v_j[rows] = vals[np.arange(len(vals)), j[rows]]
     lo = x[np.maximum(j - 1, 0)]
     hi = x[np.minimum(j + 1, n_grid - 1)]
 
@@ -199,11 +209,7 @@ def conjugate_grid_sup(
     x_star = np.exp(0.5 * (a + b))
     refined = u.u(x_star) - x_star * y
     sup = np.where(refined > v_j, refined, v_j)      # max(v_j, refined), NaN as before
-    return float(sup[0]) if scalar else sup
-
-
-# y rows per oracle call: (rows, 801) temporaries of about 1.6 MB leave peak RSS where it was.
-_Y_BLOCK = 256
+    return float(sup[0]) if not shape else sup.reshape(shape)
 
 
 def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4001,
@@ -218,8 +224,7 @@ def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4
     if not np.all(x > 0):
         raise ModelError("double conjugate is defined for x > 0")
     y = np.geomspace(1e-8, 1e8, n_grid)
-    blocks = np.split(y, range(_Y_BLOCK, n_grid, _Y_BLOCK))
-    conj = np.concatenate([conjugate_grid_sup(u, yb, n_grid=801, n_refine=40) for yb in blocks])
+    conj = conjugate_grid_sup(u, y, n_grid=801, n_refine=40)
     vals = conj + x[..., None] * y
     j = np.argmin(vals, axis=-1)
     v_j = np.take_along_axis(vals, j[..., None], axis=-1)[..., 0]

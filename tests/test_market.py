@@ -309,7 +309,16 @@ STEP_MAJOR_CASES = {
     "d2": (_params(n_steps=48, **_TWO_ASSET), 700),
     "guarded": (_params(sigma=20.0, varsigma=0.3, alpha=-0.5, n_steps=24), 1400),
     "d2_one_long_path": (_params(n_steps=17_000, **_TWO_ASSET), 1),
+    # one full block of the noise draw plus one path
+    "d1_one_block_plus_one": (_params(varsigma=0.1, alpha=-0.5, n_steps=48), 257),
+    # no drift noise is drawn; the bulk build's gemm over +-0 shocks must give beta's bits
+    "d2_fixed_drift": (_params(n_steps=48, **{**_TWO_ASSET, "varsigma": np.zeros((2, 2)),
+                                              "beta0": [0.0, -0.04]}), 300),
 }
+
+
+def _bits(a):
+    return a.view(np.uint64) if a.dtype == float else a
 
 
 @pytest.mark.parametrize("case", sorted(STEP_MAJOR_CASES))
@@ -317,7 +326,7 @@ def test_streamed_build_equals_bulk_build(case):
     # The step-major, block-by-block build gives the bulk build's values bit
     # for bit, from simulate_batch and from build_batch on path-major
     # increments and the drift built from the redrawn drift noise, whole or
-    # sliced (a one-path slice included at d = 2).
+    # sliced (a one-path slice included at d = 2); signed zeros included.
     p, n_paths = STEP_MAJOR_CASES[case]
     dW, dW2 = bulk_draws(p, 17, n_paths)
     names = ("F", "R", "beta", "dW", "guard_events")
@@ -328,12 +337,12 @@ def test_streamed_build_equals_bulk_build(case):
     assert batch.F[:, 3].flags.c_contiguous
     assert batch.dW2 is None
     for name in names:
-        assert np.array_equal(getattr(batch, name), ref[name]), name
+        assert np.array_equal(_bits(getattr(batch, name)), _bits(ref[name])), name
     for rows in (slice(None), slice(1, 2), slice(None, None, 3)):
         ref = _bulk_build(p, dW[rows], dW2[rows])
         rebuilt = build_batch(p, dW[rows], simulate_drift(p, dW2[rows]))
         for name in names:
-            assert np.array_equal(getattr(rebuilt, name), ref[name]), (name, rows)
+            assert np.array_equal(_bits(getattr(rebuilt, name)), _bits(ref[name])), (name, rows)
 
 
 def test_csv_round_trip(tmp_path):

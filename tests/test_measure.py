@@ -98,6 +98,18 @@ def test_cap_rescales_rows_and_counts():
     assert capped[1, 1] / capped[1, 0] == pytest.approx(4.0 / 3.0)
 
 
+def test_uncapped_theta_comes_back_as_is_but_not_into_the_state():
+    p = _params(n_steps=4)
+    theta = np.full((3, 4, 1), 0.5)
+    capped, n = cap_relative_risk(theta, theta_max=10.0)
+    assert capped is theta and n == 0
+    dW = np.zeros((3, 4, 1))
+    for theta_max in (10.0, None):
+        ms = build_measure_state(theta, dW, p, theta_max=theta_max)
+        assert not np.shares_memory(ms.theta, theta)
+        assert np.array_equal(ms.theta, theta)
+
+
 # -- exponential martingale -------------------------------------------------
 
 # Rows whose squares are -0.0 products, +-inf, NaN, subnormal or zero, near

@@ -88,8 +88,8 @@ def test_layer_timings():
     assert list(report["seconds"]) == [
         "simulate_batch", "run_filter_batch", "strategy_weights", "run_backtest_own_filter",
         "run_backtest_given_density", "run_backtest_given_no_density", "run_backtest_given_density_d2",
-        "run_backtest_given_density_absorbed", "build_measure_state", "double_conjugate_grid_3x",
-        "write_csv_ledger",
+        "run_backtest_given_density_absorbed", "build_measure_state", "value_arbitration",
+        "double_conjugate_grid_3x", "grid_sup_4001", "write_csv_ledger",
     ]
     assert all(s > 0 for s in report["seconds"].values())
     assert 0.5 < report["absorbed_fraction"] <= 1.0

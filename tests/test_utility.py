@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ def test_grid_oracles_never_use_the_first_order_conjugate():
     double_conjugate_grid(u, 1.0, n_grid=301, n_refine=10)
 
 
-def test_double_conjugate_calls_oracle_once_per_block(monkeypatch):
+def test_double_conjugate_calls_oracle_once_for_the_grid(monkeypatch):
     import futopt.utility as utility
 
     calls = []
@@ -200,9 +201,23 @@ def test_double_conjugate_calls_oracle_once_per_block(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(utility, "conjugate_grid_sup", counted)
-    # three x share one grid pass and one refinement
+    # three x share one U~ grid call and one refinement: 2 + 80 golden-section points
     double_conjugate_grid(log_utility(), np.array([0.5, 1.0, 2.0]), n_grid=4001, n_refine=80)
-    assert len(calls) <= -(-4001 // utility._Y_BLOCK) + 80 + 2
+    assert len(calls) == 1 + 80 + 2
+
+
+def test_grid_sup_takes_the_grid_in_blocks_of_rows():
+    # 4001 rows of y against 801 grid points: the peak stays far below one
+    # (4001, 801) temporary
+    u = log_utility()
+    conjugate_grid_sup(u, Y_WIDE[:8], n_grid=801, n_refine=40)   # warm up lazy imports
+    tracemalloc.start()
+    try:
+        conjugate_grid_sup(u, Y_WIDE, n_grid=801, n_refine=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Y_WIDE.size * 801 * 8 / 4
 
 
 def test_double_conjugate_recovers_log_utility():
