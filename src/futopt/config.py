@@ -304,18 +304,9 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         raise ConfigError(f"cost_sweep.delta_ts must be a nonempty list of positive numbers, "
                           f"got {list(sweep.delta_ts)}")
 
-    raw = {
-        "experiment": experiment,
-        "market": {k: _jsonable(v) for k, v in mkt.items()},
-        "mc": {"n_paths": mc.n_paths, "seed": mc.seed, "workers": mc.workers},
-        "strategy": {k: _jsonable(getattr(strategy, k)) for k in strategy.__dataclass_fields__},
-        "outputs": {"dir": outputs.dir, "formats": list(outputs.formats)},
-        "cost_sweep": {
-            "delta_ts": list(sweep.delta_ts),
-            "P_prev": sweep.P_prev,
-            "P_now": sweep.P_now,
-        },
-    }
+    raw = {"experiment": experiment, "market": {k: _jsonable(v) for k, v in mkt.items()}}
+    for name, obj in (("mc", mc), ("strategy", strategy), ("outputs", outputs), ("cost_sweep", sweep)):
+        raw[name] = {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return ScenarioConfig(
         experiment=experiment,
         market=market,

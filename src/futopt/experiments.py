@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
+from ._rows import _dot, _quad_form
 from .config import ScenarioConfig, build_strategy
 from .errors import ConfigError, ModelError
 from .filtering import KalmanSchedule, run_filter_batch
-from .market import PathBatch, _dot, returns_from_prices, simulate_batch
-from .measure import _quad_form, cap_relative_risk, change_measure, log_martingale_step, relative_risk, zeta_step
+from .market import PathBatch, returns_from_prices, simulate_batch
+from .measure import advance_log_z, change_measure, relative_risk, zeta_step
 from .montecarlo import chunk_layout, run_chunked
 from .strategies import LaggedEstimateStrategy, LogOptimalStrategy, MaskedStrategy, ScaledStrategy
 from .trading import cost_term
@@ -280,17 +281,10 @@ def _measure_samples(params, seed_seq, n_paths: int, edges, p_cov0, theta_max):
     batch = simulate_batch(params, seed_seq, n_paths)
     R, dW = batch.R, batch.dW
     del batch
-    ks = KalmanSchedule(params, params.n_steps, p_cov0)
-    b = np.broadcast_to(params.beta0, (n_paths, params.d)).copy()
     log_z, log_zeta, W = np.zeros(n_paths), np.zeros(n_paths), np.zeros((n_paths, params.d))
     W_at, gap, zeta_peak = {0: W}, 0.0, 0.0
-    for i in range(params.n_steps):
-        theta, _ = cap_relative_risk(relative_risk(b, params), theta_max)
-        log_z += log_martingale_step(theta, dW[:, i], params)
-        with np.errstate(over="ignore"):   # exp is monotone: one exp of the max tests every path
-            if not np.isfinite(np.exp(log_z.max())):
-                bad = int(np.argmax(~np.isfinite(np.exp(log_z))))
-                raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
+    for i, b in enumerate(KalmanSchedule(params, params.n_steps, p_cov0).estimates(R)):
+        theta, _ = advance_log_z(log_z, b, dW[:, i], params, theta_max, i)
         W_next = W + change_measure(theta, dW[:, i], params)
         incr, gaps = zeta_step(theta, W_next - W, params)   # on W~'s own increments, as np.diff gives them
         log_zeta += incr
@@ -298,7 +292,6 @@ def _measure_samples(params, seed_seq, n_paths: int, edges, p_cov0, theta_max):
         W = W_next
         if i + 1 in edges:
             W_at[i + 1] = W
-        b, _ = ks.update(b, R[:, i + 1] - R[:, i], i)
     with np.errstate(over="ignore"):   # raised after every step, so an overflowing Z wins
         if not np.isfinite(np.exp(zeta_peak)):
             raise ModelError("zeta projection overflowed")
@@ -355,17 +348,14 @@ def _value_arbitration(params, seed: int, n_paths: int, x0: float, p_cov0=None):
     R, dW = batch.R, batch.dW
     del batch
     n, dt = params.n_steps, params.delta_t
-    ks = KalmanSchedule(params, n, p_cov0)
     rate_dt = (1.0 - params.m) * params.r * dt
     q = np.empty((n_paths, n))
     log_growth = None
-    b = np.broadcast_to(params.beta0, (n_paths, params.d)).copy()
-    for i in range(n):
+    for i, b in enumerate(KalmanSchedule(params, n, p_cov0).estimates(R)):
         theta = relative_risk(b, params)
         q[:, i] = q_i = _quad_form(theta, params.rho) * dt
         term = q_i * 0.5 + rate_dt + _dot(theta, dW[:, i])
         log_growth = term if log_growth is None else np.add(log_growth, term, out=log_growth)
-        b, _ = ks.update(b, R[:, i + 1] - R[:, i], i)
     return log_optimal_report(q, log_growth, params, x0)
 
 

@@ -19,8 +19,10 @@ are uncorrelated with any function of past returns, prices included.
 The recursion splits in two.  The gains and error covariances do not depend
 on the data, so KalmanSchedule computes them once; its update() is the data
 half, one step's row of paths at a time.  run_filter_batch drives it over a
-whole batch for the optimality probe's shared estimate; run_backtest,
-verify-measure and duality-report step it inside their own loops.
+whole batch for the optimality probe's shared estimate and keeps the
+innovations.  run_backtest, verify-measure and duality-report iterate
+estimates(), which yields each row of estimates before the step's return is
+folded in, so no loop steps the filter itself.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import _times
 from .errors import SingularModelError
-from .market import _times
 from .params import MarketParams, _as_matrix
 
 __all__ = [
@@ -53,14 +55,15 @@ class KalmanSchedule:
     The gains K_n and error covariances P_n (Joseph form) do not depend on
     the observations (Anderson & Moore 1979), so one schedule serves every
     path.  update() is the data half: it folds one step's row of return
-    increments into a row of estimates.  A scalar p_cov0 means p_cov0 * I.
+    increments into a row of estimates; estimates() runs it down a batch.
+    A scalar p_cov0 means p_cov0 * I.
     """
 
     def __init__(self, params: MarketParams, n_steps: int, p_cov0=None):
         if not params.sigma_invertible():
             raise SingularModelError("volatility matrix sigma")
         d, dt = params.d, params.delta_t
-        self.dt = dt
+        self.dt, self.beta0 = dt, params.beta0
         self.A = A = np.eye(d) + params.alpha * dt
         self.sigma_inv = np.linalg.inv(params.sigma)
         Q = params.varsigma @ params.varsigma.T * dt
@@ -93,6 +96,17 @@ class KalmanSchedule:
         """
         resid = delta_R - beta_hat * self.dt
         return _times(beta_hat + _times(resid, self.gains[step]), self.A), resid
+
+    def estimates(self, R: np.ndarray):
+        """Yield beta_hat_0 .. beta_hat_{N-1} for path-major (n_paths, N + 1, d)
+        returns R, from beta0: row n comes before R[:, n + 1] - R[:, n] is
+        folded in.  Each row is a new read-only array, so a consumer may keep
+        past rows and share the current one."""
+        b = np.broadcast_to(self.beta0, (R.shape[0], R.shape[2])).copy()
+        for i in range(R.shape[1] - 1):
+            b.flags.writeable = False
+            yield b
+            b, _ = self.update(b, R[:, i + 1] - R[:, i], i)
 
 
 @dataclass

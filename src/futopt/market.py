@@ -25,15 +25,6 @@ Each stream is drawn _COPY_PATHS paths at a time into a 0.5 MB buffer and
 copied from there, so the rows the transposition reads and writes stay in
 cache (2.3 ms at 8192 x 252, against 7.9 ms for one whole-array
 transposition) and no path-sized draw buffer is allocated.
-
-Every per-step row x matrix product on path-sized rows goes through _times,
-and every row dot product through _dot.  At d = 1, the shape of three of the
-four shipped configs, numpy 2.4.6's matmul of an (n, 1) block by a (1, 1)
-matrix ran 7-8x slower than a multiply (51-67 against 7-8 us at 8192-10 000
-rows, one OpenBLAS thread), and einsum's row dot product 2-3x slower, so
-there each is a multiply, plus 0.0 to give a zero product the sign matmul or
-einsum gives it: the same bits in the same order.  d >= 2 keeps its gemm and
-einsum calls.  Every time above was taken on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -42,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import _times
 from .errors import ModelError
 from .params import MarketParams
 
@@ -112,45 +104,6 @@ def _step_blocks(n: int, size: int) -> list[slice]:
     """
     k = max(1, min(n // 2, size >> 14))
     return [slice(j * n // k, (j + 1) * n // k) for j in range(k)]
-
-
-def _times(block: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """block @ M.T row-wise as a C-contiguous array (into out if given, which
-    must then be C-contiguous), bit for bit what the 2-D matmul gives.
-
-    At d >= 2 the rows go through one BLAS gemm: a lone (1, d) row would go
-    through gemv, which can round differently.  At d = 1 the product is the
-    multiply block * M[0, 0], which rounds as the matmul does, plus 0.0,
-    which turns a -0.0 product into the +0.0 that matmul returns by adding
-    it to a zero sum.  The multiply allocates C order, as matmul does: a
-    K-order result of a strided block would change the summation order of
-    any later reduction over its last axis.
-    """
-    if M.shape == (1, 1):
-        out = np.multiply(block, M[0, 0], out=out, order="C")
-        out += 0.0
-        return out
-    rows = block.reshape(-1, block.shape[-1])
-    if out is None:
-        return (rows @ M.T).reshape(block.shape)
-    np.matmul(rows, M.T, out=out.reshape(rows.shape))
-    return out
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """einsum("...i,...i->...", a, b), bit for bit: the dot product of each row.
-
-    At d = 1 the product is the multiply a * b, which rounds as einsum does,
-    plus 0.0, which turns a -0.0 product into the +0.0 einsum returns by
-    adding it to a zero sum.  Like einsum it warns of no overflow or invalid
-    product.
-    """
-    if a.shape[-1] == b.shape[-1] == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.multiply(a[..., 0], b[..., 0])
-        out += 0.0
-        return out
-    return np.einsum("...i,...i->...", a, b)
 
 
 #: Paths per block of a noise draw: 256 paths x 252 steps is 0.5 MB.

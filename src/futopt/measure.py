@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import _dot, _quad_form, _row_norm, _times
 from .errors import ModelError, SingularModelError
-from .market import _dot, _times
 from .params import MarketParams
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "cap_relative_risk",
     "exponential_martingale",
     "log_martingale_step",
+    "advance_log_z",
     "martingale_recursion",
     "change_measure",
     "discount_and_density",
@@ -74,33 +75,27 @@ def cap_relative_risk(theta: np.ndarray, theta_max: float = 10.0) -> tuple[np.nd
     return theta * scale, n_capped
 
 
-def _row_norm(theta: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(theta, axis=-1, keepdims=True), bit for bit; at d = 1
-    that is sqrt(theta theta), which warns of an overflow as norm does."""
-    if theta.shape[-1] == 1:
-        return np.sqrt(theta * theta)
-    return np.linalg.norm(theta, axis=-1, keepdims=True)
-
-
-def _quad_form(theta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """theta* rho theta per row, any leading shape, bit for bit einsum's.  At
-    d = 1 that is (theta rho_00) theta + 0.0, in einsum's order, with its
-    +0.0 for a -0.0 product, and like einsum it warns of nothing."""
-    if rho.shape == (1, 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = np.multiply(theta[..., 0], rho[0, 0])
-            q *= theta[..., 0]
-        q += 0.0
-        return q
-    return np.einsum("...i,ij,...j->...", theta, rho, theta)
-
-
 def log_martingale_step(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:
     """Increment of log Z over one step, -theta* dW - 1/2 theta* rho theta dt, per row."""
     theta = np.asarray(theta, dtype=float)
     a = _dot(theta, np.asarray(dW, dtype=float))
     q = _quad_form(theta, params.rho) * params.delta_t
     return -a - 0.5 * q
+
+
+def advance_log_z(log_z: np.ndarray, beta_eff: np.ndarray, dW: np.ndarray, params: MarketParams,
+                  theta_max: float, step: int) -> tuple[np.ndarray, int]:
+    """Step n of a streamed log Z, in place on a row of paths: theta, the relative
+    risk of beta_eff capped at theta_max, adds log_martingale_step(theta, dW) to
+    log_z.  Returns (theta, rows capped).  A Z that overflows raises ModelError
+    naming Z's step, step + 1, and its first such path."""
+    theta, n_capped = cap_relative_risk(relative_risk(beta_eff, params), theta_max)
+    log_z += log_martingale_step(theta, dW, params)
+    with np.errstate(over="ignore"):   # exp is monotone: one exp of the max tests every path
+        if not np.isfinite(np.exp(log_z.max())):
+            bad = int(np.argmax(~np.isfinite(np.exp(log_z))))
+            raise ModelError(f"exponential martingale overflowed at step {step + 1} on path {bad}")
+    return theta, n_capped
 
 
 def exponential_martingale(theta: np.ndarray, dW: np.ndarray, params: MarketParams) -> np.ndarray:

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import _dot
 from .errors import ModelError
 from .filtering import KalmanSchedule
-from .market import PathBatch, _dot
-from .measure import cap_relative_risk, discount_and_density, log_martingale_step, relative_risk
+from .market import PathBatch
+from .measure import advance_log_z, discount_and_density
 from .params import MarketParams
 from .strategies import Strategy, StrategyObs
 from .trading import PositionBook, _relative_cost, contract_price, position_from_weights
@@ -139,25 +140,27 @@ def run_backtest(
     run_filter_batch(paths.delta_R(), params).beta_hat gives it: row n has
     seen returns only up to t_n, and the increment over [t_n, t_{n+1}] is
     revealed after the weights are committed.  When it is None and sigma is
-    invertible, the loop steps a KalmanSchedule with prior p_cov0 itself,
-    folding in R[:, n + 1] - R[:, n] after step n.  Policies traded on one
-    batch can share one estimate: the rows of F and beta_hat handed to the
-    strategy are read-only.  The cash form is the primitive recursion; the
-    relative cost per step is recorded for cross-checks.  A position
-    X k pi / C that is not finite raises ModelError.
+    invertible, the rows come from KalmanSchedule(params, N, p_cov0)
+    .estimates(paths.R), the same bits; with a singular sigma the strategy
+    sees None.  Policies traded on one batch can share one estimate: the
+    rows of F and beta_hat handed to the strategy are read-only.  The cash
+    form is the primitive recursion; the relative cost per step is recorded
+    for cross-checks.  A position X k pi / C that is not finite raises
+    ModelError.
 
     The ledger keeps the full per-step record (X and the position book) for
-    path 0 only, and for every path the terminal wealth X_T, the absorption
-    flags and the event counts, added to once per step.  Step n reads row n
-    of F, beta, dW and the filter's estimates: contiguous, with no copy, in a
-    step-major batch.  Each step forms the trade P - P_prev and its size
-    once, for the relative cost and path 0's cash cost (step_wealth_cash
-    forms its own).  It zeroes absorbed paths' weights and positions only
-    once some path is absorbed, replaces non-finite relative costs only when
-    there are any, and counts violations, clips and cash-cost fallbacks only
-    on steps that have them: each skipped call would return its input's
-    bits or add zero.  No array handed to the strategy (F, C, X, P_prev,
-    beta_hat) is written after it is handed over.
+    path 0 only, written a row per step, and for every path the terminal
+    wealth X_T, the absorption flags and the event counts, added to once per
+    step.  Step n reads row n of F, beta, dW and the filter's estimates:
+    contiguous, with no copy, in a step-major batch.  Each step forms the
+    trade P - P_prev and its size once, for the relative cost and path 0's
+    cash cost (step_wealth_cash forms its own).  It zeroes absorbed paths'
+    weights and positions only once some path is absorbed, replaces
+    non-finite relative costs only when there are any, and counts
+    violations, clips and cash-cost fallbacks only on steps that have them:
+    each skipped call would return its input's bits or add zero.  No array
+    handed to the strategy (F, C, X, P_prev, beta_hat) is written after it
+    is handed over.
 
     Given theta_max (np.inf for no cap) and a batch with latent beta and
     dW, the loop also builds the terminal state price density H_T = gamma_N
@@ -165,7 +168,7 @@ def run_backtest(
     realized cost c_tilde_n, capped at theta_max; the ledger carries H_T,
     the number of capped rows, and path 0's gamma and H = gamma Z.  These
     are the values build_measure_state gives on the whole batch, without its
-    (n_paths, N) histories.
+    (n_paths, N) histories; each step goes through measure.advance_log_z.
     """
     if x0 < 0:
         raise ModelError("initial wealth must be nonnegative")
@@ -175,16 +178,15 @@ def run_backtest(
     F_steps = paths.F.transpose(1, 0, 2)
     F_steps.flags.writeable = False
 
-    beta_steps = ks = b = None
     if beta_hat is not None:
         if beta_hat.shape != paths.F.shape:
             raise ModelError(f"beta_hat must have the paths' shape {paths.F.shape}, got {beta_hat.shape}")
-        beta_steps = beta_hat.transpose(1, 0, 2)   # the filter's own storage
-        beta_steps.flags.writeable = False
+        estimates = beta_hat.transpose(1, 0, 2)[:n]   # the filter's own storage
+        estimates.flags.writeable = False
     elif params.sigma_invertible():
-        ks = KalmanSchedule(params, n, p_cov0)
-        R_steps = paths.R.transpose(1, 0, 2)
-        b = np.broadcast_to(params.beta0, (n_paths, d)).copy()
+        estimates = KalmanSchedule(params, n, p_cov0).estimates(paths.R)
+    else:
+        estimates = [None] * n
 
     X = np.full(n_paths, float(x0))
     dead = X <= 0
@@ -192,16 +194,9 @@ def run_backtest(
     P_prev = np.zeros((n_paths, d))
 
     # Path 0's record, one row per step.
-    X_hist = np.empty(n + 1)
-    X_hist[0] = X[0]
+    X_hist = np.full(n + 1, X[0])
     Z_hist = np.ones(n + 1)
-    pi_hist = np.zeros((n, d))
-    P_hist = np.zeros((n, d))
-    trade_hist = np.zeros((n, d))
-    ct_hist = np.zeros((n, d))
-    cash_hist = np.zeros((n, d))
-    clip_hist = np.zeros((n, d), dtype=bool)
-    C_hist = np.zeros((n, d))
+    book = PositionBook(*(np.zeros((1, n, d)) for _ in range(6)), clipped=np.zeros((1, n, d), dtype=bool))
     events = {name: np.zeros(n_paths, dtype=np.int64) for name in EVENTS}
 
     density = theta_max is not None and paths.beta is not None and paths.dW is not None
@@ -211,11 +206,7 @@ def run_backtest(
 
     strategy.reset(n_paths, params)
 
-    for i in range(n):
-        if beta_steps is not None:
-            b = beta_steps[i]
-        elif ks is not None:
-            b.flags.writeable = False
+    for i, b in enumerate(estimates):
         F_i = F_steps[i]
         try:
             C_i = contract_price(F_i, params.f)
@@ -259,36 +250,24 @@ def run_backtest(
 
         if density:
             c_net = c_tilde if np.isfinite(c_tilde).all() else np.nan_to_num(c_tilde, nan=0.0)
-            theta = relative_risk(beta_lat[i] - c_net, params)
-            theta, capped = cap_relative_risk(theta, theta_max)
+            _, capped = advance_log_z(log_z, beta_lat[i] - c_net, dW_steps[i], params, theta_max, i)
             n_capped += capped
-            log_z += log_martingale_step(theta, dW_steps[i], params)
-            with np.errstate(over="ignore"):   # exp is monotone: one exp of the max tests every path
-                if not np.isfinite(np.exp(log_z.max())):
-                    bad = int(np.argmax(~np.isfinite(np.exp(log_z))))
-                    raise ModelError(f"exponential martingale overflowed at step {i + 1} on path {bad}")
             np.exp(log_z[:1], out=Z_hist[i + 1 : i + 2])
 
         X_hist[i + 1] = X_next[0]
-        pi_hist[i] = pi[0]
-        P_hist[i] = P[0]
-        trade_hist[i] = trade[0]
-        ct_hist[i] = c_tilde[0]
-        cash_hist[i] = 0.5 * params.c_spread * params.f * dP[0]
-        clip_hist[i] = clipped[0]
-        C_hist[i] = C_i[0]
+        book.C[0, i] = C_i[0]
+        book.pi[0, i] = pi[0]
+        book.P[0, i] = P[0]
+        book.trade[0, i] = trade[0]
+        book.c_tilde[0, i] = c_tilde[0]
+        book.cash_cost[0, i] = 0.5 * params.c_spread * params.f * dP[0]
+        book.clipped[0, i] = clipped[0]
 
         dead |= X_next <= 0   # a violated path's wealth was floored to zero
         any_dead = bool(dead.any())
         X = X_next
         P_prev = np.where(dead[:, None], 0.0, P) if any_dead else P
-        if ks is not None:
-            b, _ = ks.update(b, R_steps[i + 1] - R_steps[i], i)
 
-    book = PositionBook(
-        C=C_hist[None], pi=pi_hist[None], P=P_hist[None], trade=trade_hist[None],
-        c_tilde=ct_hist[None], cash_cost=cash_hist[None], clipped=clip_hist[None],
-    )
     gamma, H = discount_and_density(params, Z_hist) if density else (None, None)
     return WealthLedger(
         t_grid=t_grid,

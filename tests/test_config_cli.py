@@ -192,6 +192,23 @@ def test_config_hash_ignores_runtime_fields():
     assert a.config_hash() != c.config_hash()
 
 
+#: Every manifest records its config's hash, so a hash that moves changes
+#: every artifact set's bytes: a move must be deliberate and update this table.
+SHIPPED_CONFIG_HASHES = {
+    "daily_backtest.yaml": "a86889c7c204fbd1ebd04190bef7b704fa228d650dc4fe0da3f55a0624271eef",
+    "known_drift_probe.yaml": "c9550b0961d644c8e8d02fb8a7c4e35fd6658a3f27e44531146f556c56c2635c",
+    "minimal.yaml": "b8ff7c3b16a160c3bf286591829aec40222471aede12d6e3983b6ed1a67f4a76",
+    "two_asset_measure.yaml": "822ed963a03322558e2588db99a1c2190ffed7760b5c0990500589a272f7cb0a",
+}
+
+
+def test_shipped_config_hashes_are_pinned():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert sorted(p.name for p in configs.glob("*.yaml")) == sorted(SHIPPED_CONFIG_HASHES)
+    for name, want in SHIPPED_CONFIG_HASHES.items():
+        assert load_config(configs / name).config_hash() == want, name
+
+
 # -- price ingestion --------------------------------------------------------
 
 def _write(tmp_path, rows, header="time,price_1"):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import bulk_draws, traced_peaks
-from futopt import (LogOptimalStrategy, build_measure_state, config_from_dict, load_config,
-                    log_optimal_closed_forms, relative_risk, run_backtest, run_experiment, run_filter_batch,
-                    simulate_batch, zeta_projection)
+from futopt import (LogOptimalStrategy, ModelError, ZeroStrategy, build_batch, build_measure_state,
+                    config_from_dict, load_config, log_optimal_closed_forms, relative_risk, run_backtest,
+                    run_experiment, run_filter_batch, simulate_batch, simulate_drift, zeta_projection)
 from futopt.experiments import _ledger_rows, _measure_samples, _position_rows, _value_arbitration, _write_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -163,6 +163,23 @@ def test_measure_samples_memory_budget(market, request):
     edges = np.linspace(0, p.n_steps, 5).astype(int)
     (peak,) = traced_peaks(lambda n, mark: _measure_samples(p, 5, n, edges, None, 10.0), p)
     assert peak <= 5.0, peak
+
+
+def test_measure_samples_overflow_names_step_and_path_as_the_backtest_does(monkeypatch):
+    # A planted dW row that overflows Z on path 1 at Z's step 6: verify-measure's
+    # step loop raises the backtest density's own message.
+    import futopt.experiments as experiments
+
+    p = _cfg("verify-measure", market={"n_steps": 8}).market
+    dW = np.full((3, 8, 1), 0.01)
+    dW[1, 5, 0] = -4000.0   # -theta dW is about 1600 > log(max float)
+    batch = build_batch(p, dW, simulate_drift(p, np.zeros_like(dW)))
+    with pytest.raises(ModelError) as backtest:
+        run_backtest(batch, ZeroStrategy(), p, x0=1e6, theta_max=np.inf)
+    monkeypatch.setattr(experiments, "simulate_batch", lambda *args: batch)
+    with pytest.raises(ModelError) as measure:
+        _measure_samples(p, None, 3, np.array([0, 4, 8]), None, np.inf)
+    assert str(measure.value) == str(backtest.value) == "exponential martingale overflowed at step 6 on path 1"
 
 
 @pytest.mark.parametrize("seed", [5, 11])

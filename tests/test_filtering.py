@@ -5,6 +5,8 @@ linear-Gaussian recursions and conditions by block inversion; the recursive
 filter must reproduce it to near machine precision.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import neutrality_diagnostics
 from futopt import MarketParams, ModelError, SingularModelError, run_filter_batch, simulate_batch
-from futopt.filtering import default_p_cov0
+from futopt.filtering import KalmanSchedule, default_p_cov0
 
 
 def _params(**over):
@@ -21,6 +23,13 @@ def _params(**over):
                 m=0.0, r=0.0, k=1.0, F0=100.0, beta0=0.08)
     base.update(over)
     return MarketParams(**base)
+
+
+TWO_ASSET = MarketParams(
+    d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
+    rho=[[1.0, 0.3], [0.3, 1.0]], alpha=[[-0.5, 0.0], [0.1, -1.0]], varsigma=0.1,
+    f=1.0, c_spread=0.0, m=0.0, r=0.0, k=1.0, F0=100.0, beta0=[0.08, -0.04],
+)
 
 
 def gaussian_conditioning_oracle(params, delta_R, p_cov0, beta_hat0):
@@ -168,12 +177,7 @@ def test_batch_filter_matches_single():
     # BLAS call runs, to rounding at d >= 2, where OpenBLAS picks its
     # small-matmul kernel by row count and operand layout (the parent layout
     # included)
-    two_asset = MarketParams(
-        d=2, n_steps=40, delta_t=1.0 / 252, sigma=[[0.2, 0.05], [0.0, 0.25]],
-        rho=[[1.0, 0.3], [0.3, 1.0]], alpha=[[-0.5, 0.0], [0.1, -1.0]], varsigma=0.1,
-        f=1.0, c_spread=0.0, m=0.0, r=0.0, k=1.0, F0=100.0, beta0=[0.08, -0.04],
-    )
-    for p in (_params(n_steps=40), two_asset):
+    for p in (_params(n_steps=40), TWO_ASSET):
         n, d = p.n_steps, p.d
         same = np.array_equal if d == 1 else lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)
         delta_R = simulate_batch(p, 5, 5).delta_R()
@@ -187,6 +191,47 @@ def test_batch_filter_matches_single():
             assert same(batch.beta_hat[i : i + 1], single.beta_hat)
             assert same(batch.d_nu[i : i + 1], single.d_nu)
             assert np.array_equal(batch.p_cov, single.p_cov)
+
+
+# -- streamed estimates -----------------------------------------------------
+
+_ESTIMATE_CASES = {   # (market, p_cov0)
+    "d1": (_params(n_steps=40), None),
+    "d1-p_cov0": (_params(n_steps=40), 0.02),
+    "d2": (TWO_ASSET, None),
+    "d2-p_cov0": (TWO_ASSET, [[0.4, 0.1], [0.1, 0.3]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ESTIMATE_CASES))
+def test_estimates_are_the_batch_filter_rows(case):
+    # The rows the step loops read are the whole-batch filter's beta_hat
+    # rows 0 .. N - 1, bit for bit; each is its own read-only array, since a
+    # lagged policy keeps past rows while the next ones are made.
+    p, p_cov0 = _ESTIMATE_CASES[case]
+    batch = simulate_batch(p, 5, 16)
+    rows = list(KalmanSchedule(p, p.n_steps, p_cov0).estimates(batch.R))
+    want = run_filter_batch(batch.delta_R(), p, p_cov0).beta_hat
+    assert len(rows) == p.n_steps
+    for n, row in enumerate(rows):
+        assert row.shape == (16, p.d) and not row.flags.writeable
+        assert np.array_equal(row.view(np.uint64), want[:, n].view(np.uint64)), n
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
+
+
+def test_estimates_are_causal():
+    # Row n has seen returns through t_n only: moving R after t_n leaves
+    # rows 0 .. n as they were, and the next row sees the move.
+    p = _params(n_steps=20)
+    R = simulate_batch(p, 3, 8).R
+    ks = KalmanSchedule(p, p.n_steps)
+    base = list(ks.estimates(R))
+    for n in (0, 7, 18):
+        moved = R.copy()
+        moved[:, n + 1 :] += 0.01
+        rows = list(ks.estimates(moved))
+        assert all(np.array_equal(rows[k], base[k]) for k in range(n + 1)), n
+        assert not np.array_equal(rows[n + 1], base[n + 1]), n
 
 
 # -- diagnostics ------------------------------------------------------------

@@ -14,7 +14,6 @@ from futopt import (
     simulate_batch,
     simulate_drift,
 )
-from futopt.market import _dot, _times
 
 
 def _params(**over):
@@ -62,67 +61,6 @@ def test_increments_deterministic_given_seed():
     b = simulate_batch(p, 7, 3)
     assert np.array_equal(a.dW, b.dW)
     assert a.dW2 is None and b.dW2 is None   # the drift noise is not kept once beta is built
-
-
-# -- row x matrix products --------------------------------------------------
-
-# Factors whose products with M below are -0.0, +-inf, NaN, subnormal, and
-# near or past overflow.
-_EDGES = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320,
-                   1e-300, -1e-300, 1e300, -1e300, 1.7e308, 3.0])
-
-
-def _matmul(block, M):
-    return (block.reshape(-1, block.shape[-1]) @ M.T).reshape(block.shape)
-
-
-@pytest.mark.parametrize("m", [2.0, -0.5, 0.0, -0.0, 1e-10, 1e10, -np.inf, np.nan])
-def test_times_is_the_matmul_bit_for_bit_at_d1(m):
-    # At d = 1, _times multiplies: its bits must be matmul's, a -0.0 product
-    # included, which matmul returns as +0.0.  For a strided block, such as
-    # a run of steps of a path-major draw, the result must still be
-    # C-contiguous, as matmul's is: a reduction over it sums in that order.
-    M = np.array([[m]])
-    draw = np.broadcast_to(_EDGES, (4, _EDGES.size))[:, :, None].copy()   # (paths, steps, 1)
-    blocks = [_EDGES[:, None], _EDGES[6:7, None], draw.transpose(1, 0, 2)[1::2]]
-    for block in blocks:
-        with np.errstate(all="ignore"):
-            want, got = _matmul(block, M), _times(block, M)
-            out = np.empty(block.shape)
-            assert _times(block, M, out=out) is out
-        assert got.shape == block.shape and got.flags.c_contiguous
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
-
-
-def test_times_is_one_gemm_at_d2():
-    rng = np.random.default_rng(0)
-    M = np.array([[0.3, -1.2], [0.7, 2.0]])
-    for block in (rng.standard_normal((5, 2)), rng.standard_normal((3, 4, 2)).transpose(1, 0, 2)):
-        want = _matmul(block, M)
-        got = _times(block, M)
-        assert got.flags.c_contiguous and np.array_equal(got, want)
-        out = np.empty(block.shape)
-        assert _times(block, M, out=out) is out and np.array_equal(out, want)
-
-
-@pytest.mark.parametrize("m", [2.0, -0.5, 0.0, -0.0, 1e-10, 1e200, -np.inf, np.nan])
-def test_dot_is_the_einsum_bit_for_bit_at_d1(m):
-    # At d = 1, _dot multiplies: its bits must be einsum's, a -0.0 product
-    # included, which einsum returns as +0.0.  Like einsum it must warn of
-    # no overflow or invalid product (pytest turns a warning into an error).
-    draw = np.broadcast_to(_EDGES, (4, _EDGES.size))[:, :, None].copy()   # (paths, steps, 1)
-    for rows in (_EDGES[:, None], draw.transpose(1, 0, 2)[1::2]):
-        for other in (np.full(rows.shape, m), np.array([m]), rows):
-            want, got = np.einsum("...i,...i->...", rows, other), _dot(rows, other)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_dot_is_the_einsum_at_d2():
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((5, 2)), rng.standard_normal((3, 5, 2))
-    assert np.array_equal(_dot(a, b), np.einsum("...i,...i->...", a, b))
 
 
 # -- drift ------------------------------------------------------------------

@@ -17,7 +17,8 @@ from futopt import (
     relative_risk,
     zeta_projection,
 )
-from futopt.measure import _quad_form, _row_norm
+from futopt._rows import _quad_form
+from futopt.measure import advance_log_z, log_martingale_step
 
 
 def _params(**over):
@@ -112,41 +113,6 @@ def test_uncapped_theta_comes_back_as_is_but_not_into_the_state():
 
 # -- exponential martingale -------------------------------------------------
 
-# Rows whose squares are -0.0 products, +-inf, NaN, subnormal or zero, near
-# or past overflow (1e200), and spread over the exponent range.
-_EDGE_ROWS = np.concatenate([
-    [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-200, 1e200, -1e200, 1.3e154, 3.0],
-    np.random.default_rng(1).standard_normal(400) * 10.0 ** np.arange(-200, 200),
-])[:, None]
-
-
-@pytest.mark.parametrize("rho00", [1.0, 1.0 + 1e-13, 1.0 - 1e-13, 0.3])
-def test_quad_form_is_the_einsum_bit_for_bit_at_d1(rho00):
-    # (theta rho_00) theta + 0.0 is einsum's order: at rho_00 = 1 +- 1e-13
-    # (theta theta) rho_00 rounds differently on some rows.  Like einsum it
-    # warns of nothing, 1e200 squared included.
-    rho = np.array([[rho00]])
-    for theta in (_EDGE_ROWS, _EDGE_ROWS.reshape(2, -1, 1).transpose(1, 0, 2)):
-        want, got = np.einsum("...i,ij,...j->...", theta, rho, theta), _quad_form(theta, rho)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_row_norm_is_linalg_norm_bit_for_bit():
-    # At d = 1 the norm is sqrt(theta theta); it overflows, and warns of it,
-    # where np.linalg.norm does, and nowhere else.
-    for theta in (_EDGE_ROWS, np.random.default_rng(2).standard_normal((9, 3))):
-        with np.errstate(over="ignore"):
-            want, got = np.linalg.norm(theta, axis=-1, keepdims=True), _row_norm(theta)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    tame = _EDGE_ROWS[~(np.abs(_EDGE_ROWS) > 1e154)][:, None]
-    assert np.array_equal(_row_norm(tame), np.linalg.norm(tame, axis=-1, keepdims=True), equal_nan=True)
-    for norm in (_row_norm, lambda t: np.linalg.norm(t, axis=-1, keepdims=True)):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            norm(np.array([[1e200]]))
-
-
 def test_zero_theta_unit_martingale():
     p = _params(n_steps=16)
     dW = increments(p, 0)
@@ -220,6 +186,23 @@ def test_overflow_reported_with_step():
     # with a path axis the message names the path too
     with pytest.raises(ModelError, match="step 1 on path 1"):
         exponential_martingale(np.stack([0.0 * theta, theta]), np.stack([dW, dW]), p)
+
+
+def test_advance_log_z_steps_in_place_and_names_an_overflow():
+    # One streamed step: theta is the capped relative risk, log Z gains its
+    # log_martingale_step in place, and a planted dW row that overflows Z
+    # names Z's step (the loop's step + 1) and the first path it overflows on.
+    p = _params()
+    beta_eff = np.array([[0.08], [0.08], [-1.0]])
+    dW = np.full((3, 1), 0.01)
+    log_z = np.full(3, 0.5)
+    theta, n_capped = advance_log_z(log_z, beta_eff, dW, p, 2.0, 0)
+    want, want_capped = cap_relative_risk(relative_risk(beta_eff, p), 2.0)
+    assert n_capped == want_capped == 1 and np.array_equal(theta, want)
+    assert np.array_equal(log_z, 0.5 + log_martingale_step(want, dW, p))
+    dW[1:, 0] = -4000.0   # -theta dW = 1600 > log(max float) at theta 0.4 on path 1
+    with pytest.raises(ModelError, match=r"^exponential martingale overflowed at step 6 on path 1$"):
+        advance_log_z(log_z, beta_eff, dW, p, np.inf, 5)
 
 
 # -- changed measure --------------------------------------------------------

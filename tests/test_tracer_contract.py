@@ -3,8 +3,8 @@
 perfbench/tracer.py wraps futopt's public functions and reads fields of
 their results (WealthLedger, FilterHistory, PathBatch).  A renamed field
 breaks only a traced benchmark run, so one traced backtest and one traced
-verify-measure at a tiny size run here, through perfbench/child.py as the
-benchmark runs it.
+verify-measure, duality-report and optimality-probe run here at a tiny size,
+through perfbench/child.py as the benchmark runs it.
 """
 
 import json
@@ -89,3 +89,26 @@ def test_traced_verify_measure_reports_its_layers(tmp_path):
     assert layers["measure.calls"] > 0
     assert layers["market.simulate_calls"] == 1
     assert layers["market.computed_bytes"] == _batch_bytes(64, 16, 2)
+
+
+def test_traced_duality_report_reports_its_layers(tmp_path):
+    # The value arbitration takes theta_hat from the measure layer on every step.
+    tree = TINY_BACKTEST.replace("experiment: backtest", "experiment: duality-report")
+    layers = _traced_layers(tmp_path, tree, "duality-report")
+    assert layers["market.simulate_calls"] == 1
+    assert layers["market.computed_bytes"] == _batch_bytes(64, 16, 1)
+    assert layers["measure.calls"] >= 16
+    assert layers["utility.oracle_evals"] > 0
+
+
+def test_traced_optimality_probe_reports_its_layers(tmp_path):
+    # One whole-batch filter per chunk, shared by the base, two scaled and
+    # one lagged policy (varsigma > 0), each a backtest over the 16 steps.
+    tree = TINY_BACKTEST.replace("experiment: backtest", "experiment: optimality-probe")
+    layers = _traced_layers(tmp_path, tree, "optimality-probe")
+    assert layers["market.simulate_calls"] == 1
+    assert layers["market.computed_bytes"] == _batch_bytes(64, 16, 1)
+    assert layers["filtering.filter_calls"] == 1
+    assert layers["filtering.kalman_steps"] == 16
+    assert layers["wealth.backtest_calls"] == 4
+    assert layers["wealth.step_iters"] == 4 * 16

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import bulk_draws, traced_peaks
 from futopt import (
     ConstantWeightStrategy,
+    LaggedEstimateStrategy,
     LogOptimalStrategy,
     MarketParams,
     ModelError,
@@ -466,23 +467,27 @@ _STREAM_CASES = {   # (market, n_paths, p_cov0, theta_max)
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
 def test_given_estimate_matches_the_loops_own_filter(case):
     # The loop's own filter, stepped a row at a time, against the whole-batch
-    # filter's estimate handed in: every ledger field bit for bit.
+    # filter's estimate handed in: every ledger field bit for bit.  The
+    # lagged policy keeps the rows it was handed and trades on one three
+    # steps old, so it matches only if every row the loop hands out is its
+    # own array, never overwritten by a later step.
     p, n_paths, p_cov0, theta_max = _STREAM_CASES[case]
     batch = simulate_batch(p, 7, n_paths)
-    own = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=theta_max, p_cov0=p_cov0)
     beta_hat = run_filter_batch(batch.delta_R(), p, p_cov0).beta_hat
-    given = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat, theta_max=theta_max)
-    for name in ("X", "X_T", "dead", "H_T", "gamma", "H"):
-        assert np.array_equal(getattr(own, name), getattr(given, name)), name
-    for name in ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped"):
-        assert np.array_equal(getattr(own.book, name), getattr(given.book, name), equal_nan=True), name
-    assert own.events.keys() == given.events.keys() and own.n_capped == given.n_capped
-    assert (own.n_capped > 0) == (theta_max < 1.0)
-    for name, counts in own.events.items():
-        assert np.array_equal(counts, given.events[name]), name
-    if p_cov0 is not None:   # the prior reaches the loop's filter
-        default = run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, theta_max=theta_max)
-        assert not np.array_equal(default.X_T, own.X_T)
+    for make in (LogOptimalStrategy, lambda: LaggedEstimateStrategy(LogOptimalStrategy(), lag=3)):
+        own = run_backtest(batch, make(), p, x0=1e6, theta_max=theta_max, p_cov0=p_cov0)
+        given = run_backtest(batch, make(), p, x0=1e6, beta_hat=beta_hat, theta_max=theta_max)
+        for name in ("X", "X_T", "dead", "H_T", "gamma", "H"):
+            assert np.array_equal(getattr(own, name), getattr(given, name)), name
+        for name in ("C", "pi", "P", "trade", "c_tilde", "cash_cost", "clipped"):
+            assert np.array_equal(getattr(own.book, name), getattr(given.book, name), equal_nan=True), name
+        assert own.events.keys() == given.events.keys() and own.n_capped == given.n_capped
+        assert (own.n_capped > 0) == (theta_max < 1.0)
+        for name, counts in own.events.items():
+            assert np.array_equal(counts, given.events[name]), name
+        if p_cov0 is not None:   # the prior reaches the loop's filter
+            default = run_backtest(batch, make(), p, x0=1e6, theta_max=theta_max)
+            assert not np.array_equal(default.X_T, own.X_T)
     with pytest.raises(ModelError, match="beta_hat must have"):
         run_backtest(batch, LogOptimalStrategy(), p, x0=1e6, beta_hat=beta_hat[:, 1:])
 
