@@ -266,9 +266,10 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
     if mc.n_paths < 1:
         raise ConfigError("mc.n_paths must be positive")
     strategy = _build_dataclass(StrategyConfig, _section(tree, "strategy"), "strategy")
-    for where, seed in (("mc.seed", mc.seed), ("strategy.seed", strategy.seed)):
-        if seed < 0:   # numpy seeds only from nonnegative integers
-            raise ConfigError(f"{where} must be nonnegative, got {seed}")
+    # numpy seeds only from nonnegative integers; 0 workers means unset
+    for where, value in (("mc.seed", mc.seed), ("strategy.seed", strategy.seed), ("mc.workers", mc.workers or 0)):
+        if value < 0:
+            raise ConfigError(f"{where} must be nonnegative, got {value}")
     if strategy.policy not in ("zero", "constant", "random", "log_optimal"):
         raise ConfigError(f"strategy.policy unknown: {strategy.policy!r}")
     if strategy.mode not in ("zero_cost", "soft_threshold", "literal"):

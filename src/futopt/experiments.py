@@ -1,10 +1,11 @@
 """Experiment drivers behind the CLI: each one turns a config into artifacts.
 
 Every run writes its numeric artifacts plus a manifest recording the config
-hash, seed, and library versions.  This module is the only artifact writer:
-every CSV goes through _write_csv, with full float precision and fixed row
-order, so a rerun with the same config and seed is byte-identical regardless
-of worker count; the manifest's timestamp is the only field allowed to differ.
+hash, seed, and library versions.  This module is the only artifact writer,
+and it writes only outside run_chunked, from what the chunks return: every
+CSV goes through _write_csv, with full float precision and fixed row order,
+so a rerun with the same config and seed is byte-identical regardless of
+worker count; the manifest's timestamp is the only field allowed to differ.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +67,11 @@ def _check(name: str, passed, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path, obj) -> Path:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
@@ -117,8 +120,8 @@ def _ledger_rows(ledger: WealthLedger) -> tuple[list[str], list]:
 
 
 def _position_rows(ledger: WealthLedger, F: np.ndarray) -> tuple[list[str], list]:
-    """Path 0 in long format, one row per (time, asset), time-major; F is the
-    batch's (n_paths, N + 1, d) prices."""
+    """Path 0 in long format, one row per (time, asset), time-major; F holds
+    (n, N + 1, d) prices with path 0 first."""
     book = ledger.book
     _, n, d = book.P.shape
     floats = np.concatenate([F[0, :n, :, None], book.C[0, :, :, None], _book_floats(ledger)], axis=-1)
@@ -141,9 +144,7 @@ def _manifest(cfg: ScenarioConfig, out: Path, n_paths: int, seed: int) -> Path:
         "python_version": sys.version.split()[0],
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    path = out / "manifest.json"
-    _write_json(path, payload)
-    return path
+    return _write_json(out / "manifest.json", payload)
 
 
 def ingest_prices(csv_path: str | Path, f) -> PathBatch:
@@ -223,51 +224,43 @@ def _run_backtest(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> Ex
     s = cfg.strategy
     run_params, cap = _trading_setup(cfg)
 
-    summary: dict = {}
-    ledger_csv = out / "ledger_0000.csv"
-    pos_csv = out / "positions_0000.csv"
-
     def chunk(seed_seq, n_in_chunk):
         batch = simulate_batch(run_params, seed_seq, n_in_chunk)
         ledger = run_backtest(
             batch, build_strategy(cfg), run_params, s.x0, cap=cap,
             integer_contracts=s.integer_contracts, theta_max=s.theta_max, p_cov0=s.p_cov0,
         )
-        if seed_seq.spawn_key[-1] == 0:  # chunk 0, see run_chunked: path 0's reports
-            summary["realized_monetary_vol"] = realized_monetary_vol(ledger, run_params, s.h_window)
-            _write_csv(ledger_csv, *_ledger_rows(ledger))
-            _write_csv(pos_csv, *_position_rows(ledger, batch.F))
-        return {
+        samples = {
             "terminal_wealth": ledger.X_T,
             "balance_HX": ledger.H_T * ledger.X_T,
             "dead": ledger.dead.astype(float),
             **ledger.events,
         }
+        return samples, (ledger, batch.F[:1].copy())   # a copy: a view would keep the batch alive
 
-    stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
-    artifacts = [str(ledger_csv), str(pos_csv)]
+    stats, outs = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
+    ledger, F = outs[0]   # path 0's reports
+    artifacts = [str(_write_csv(out / "ledger_0000.csv", *_ledger_rows(ledger))),
+                 str(_write_csv(out / "positions_0000.csv", *_position_rows(ledger, F)))]
 
     X_T, bal, dead = stats["terminal_wealth"], stats["balance_HX"], stats["dead"]
-    summary.update(
-        {
-            "n_paths": bal.n,
-            "x0": float(s.x0),
-            "terminal_mean": X_T.mean,
-            "terminal_stderr": X_T.stderr,
-            "terminal_std": X_T.std,
-            "terminal_min": X_T.lo,
-            "terminal_max": X_T.hi,
-            "dead_fraction": dead.mean,
-            "dead_paths": int(dead.total),
-            "budget_mean_HX": bal.mean,
-            "budget_stderr": bal.stderr,
-            "budget_z_score": bal.z_score(s.x0),
-            **{name: int(stats[name].total) for name in EVENTS},
-        }
-    )
-    summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
-    artifacts.append(str(summary_path))
+    summary = {
+        "n_paths": bal.n,
+        "x0": float(s.x0),
+        "terminal_mean": X_T.mean,
+        "terminal_stderr": X_T.stderr,
+        "terminal_std": X_T.std,
+        "terminal_min": X_T.lo,
+        "terminal_max": X_T.hi,
+        "dead_fraction": dead.mean,
+        "dead_paths": int(dead.total),
+        "budget_mean_HX": bal.mean,
+        "budget_stderr": bal.stderr,
+        "budget_z_score": bal.z_score(s.x0),
+        "realized_monetary_vol": realized_monetary_vol(ledger, run_params, s.h_window),
+        **{name: int(stats[name].total) for name in EVENTS},
+    }
+    artifacts.append(str(_write_json(out / "summary.json", summary)))
 
     checks = [_check("budget_balance", bal.mean - s.x0 <= max(3.0 * bal.stderr, 1e-9 * s.x0),
                      f"E[H X] = {bal.mean:.6g} vs x0 = {s.x0:.6g} (z = {bal.z_score(s.x0):.2f})")]
@@ -310,15 +303,9 @@ def _run_verify_measure(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
     params = cfg.market
     n_buckets = min(4, params.n_steps)
     edges = np.linspace(0, params.n_steps, n_buckets + 1).astype(int)
-    zeta_gaps: list[float] = []
-
-    def chunk(seed_seq, n_in_chunk):
-        res, gap = _measure_samples(params, seed_seq, n_in_chunk, edges,
-                                    cfg.strategy.p_cov0, cfg.strategy.theta_max)
-        zeta_gaps.append(gap)
-        return res
-
-    stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
+    chunk = partial(_measure_samples, params, edges=edges, p_cov0=cfg.strategy.p_cov0,
+                    theta_max=cfg.strategy.theta_max)
+    stats, zeta_gaps = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
 
     rows = []
     checks = []
@@ -394,9 +381,7 @@ def _run_duality_report(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int)
         f"half-form gap {rep.value_half - rep.value_mc:.3g} vs stderr {rep.value_mc_stderr:.3g}",
     ))
 
-    path = out / "duality.json"
-    _write_json(path, report)
-    return ExperimentResult([str(path)], checks)
+    return ExperimentResult([str(_write_json(out / "duality.json", report))], checks)
 
 
 def _run_cost_sweep(cfg: ScenarioConfig, out: Path, seed: int, n_paths: int) -> ExperimentResult:
@@ -463,9 +448,9 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
             res[f"u:{name}"] = np.log(np.maximum(X_T, 1e-300))   # dead paths: log -> -inf guard
         for name in perturbed:
             res[f"diff:{name}"] = res["u:base"] - res[f"u:{name}"]
-        return res
+        return res, None
 
-    stats = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
+    stats, _ = run_chunked(n_paths, seed, chunk, workers=cfg.mc.workers)
 
     utility = {name: stats[f"u:{name}"] for name in policies}
     path = _write_csv(out / "optimality_probe.csv", ["policy", "n_paths", "mean_utility", "stderr"],
@@ -480,8 +465,7 @@ def _run_optimality_probe(cfg: ScenarioConfig, out: Path, seed: int, n_paths: in
                        "base_dominates": gap < -2.0 * se, "degenerate": degenerate}
         checks.append(_check(f"dominance:{name}", not degenerate and gap <= 2.0 * se,
                              ("degenerate: " if degenerate else "") + f"gap vs base {gap:.3g} (se {se:.3g})"))
-    summary_path = out / "probe_summary.json"
-    _write_json(summary_path, diffs)
+    summary_path = _write_json(out / "probe_summary.json", diffs)
 
     return ExperimentResult([str(path), str(summary_path)], checks)
 
@@ -522,14 +506,10 @@ def run_experiment(
     result.artifacts.append(str(_manifest(cfg, out, use_paths, use_seed)))
 
     if result.status != 0:
-        failure = out / "failure_summary.json"
-        _write_json(
-            failure,
-            {
-                "experiment": cfg.experiment,
-                "status": result.status,
-                "failed_checks": result.failed_checks,
-            },
-        )
-        result.artifacts.append(str(failure))
+        failure = {
+            "experiment": cfg.experiment,
+            "status": result.status,
+            "failed_checks": result.failed_checks,
+        }
+        result.artifacts.append(str(_write_json(out / "failure_summary.json", failure)))
     return result

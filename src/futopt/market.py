@@ -16,15 +16,11 @@ Each floored step (counted in guard_events) multiplies F by pos_floor, 1e-8
 by default, so about 40 of them underflow a price to 0.0; contract_price
 then raises ModelError, and the CLI exits 2.  Batches are built a block of
 steps at a time into step-major (N + 1, n_paths, d) buffers, with running
-sums and products row by row: np.cumsum and np.cumprod along the step axis
-of such memory ran about 5x slower than along a contiguous axis (47 vs 9 ms
-at 8192 x 252).  For the same reason each path-major normal draw is copied
-into its step-major buffer before it is scaled: scaling it block by block
-read the draw strided, two steps at a time, and took 29 ms at 10 000 x 252.
-Each stream is drawn _COPY_PATHS paths at a time into a 0.5 MB buffer and
-copied from there, so the rows the transposition reads and writes stay in
-cache (2.3 ms at 8192 x 252, against 7.9 ms for one whole-array
-transposition) and no path-sized draw buffer is allocated.
+sums and products row by row.  Each stream is drawn path-major,
+_COPY_PATHS paths at a time into a 0.5 MB buffer, and copied from there
+into its step-major buffer before it is scaled, so no path-sized draw
+buffer is allocated; consecutive blocks continue one stream, so the bits
+are those of one whole-array draw.
 """
 
 from __future__ import annotations

@@ -106,16 +106,17 @@ class RunningMoments:
 
 
 def resolve_workers(config_value: int | None = None) -> int:
-    """Worker count: environment variable first, then config, then 1."""
+    """Worker count: environment variable first, then config, then 1.  0
+    means unset; a negative count is a ConfigError naming its source."""
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if config_value:
-        return max(1, int(config_value))
-    return 1
+    where, value = (WORKERS_ENV_VAR, env) if env else ("mc.workers", config_value or 0)
+    try:
+        n = int(value)
+    except ValueError:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise ConfigError(f"{where} must be nonnegative, got {n}")
+    return max(1, n)
 
 
 def chunk_layout(n_total: int, chunk_size: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
@@ -135,14 +136,15 @@ def run_chunked(
     chunk_fn,
     chunk_size: int = DEFAULT_CHUNK,
     workers: int | None = None,
-) -> dict[str, RunningMoments]:
+) -> tuple[dict[str, RunningMoments], list]:
     """Evaluate chunk_fn over fixed chunks and merge named sample streams.
 
-    chunk_fn(seed_seq, n_in_chunk) returns a dict mapping statistic names to
-    per-path sample arrays.  Chunks may run on a thread pool; merging always
-    happens serially in chunk order.  Chunk i receives the i-th child spawned
-    from the root seed sequence, so ``seed_seq.spawn_key[-1] == i``; a
-    chunk_fn can recognise chunk 0 by it, whatever thread runs it.
+    chunk_fn(seed_seq, n_in_chunk) returns (samples, out): samples maps
+    statistic names to per-path sample arrays, and out is everything else
+    the chunk produced, so a chunk writes nothing outside itself.  Chunk i
+    receives the i-th child spawned from the root seed sequence.  Chunks may
+    run on a thread pool; merging always happens serially in chunk order.
+    Returns the merged moments and every chunk's out, in chunk order.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     layout = chunk_layout(int(n_paths), chunk_size)
@@ -159,7 +161,7 @@ def run_chunked(
         results = [job(i) for i in range(len(layout))]
 
     merged: dict[str, RunningMoments] = {}
-    for res in results:                      # fixed chunk order
-        for key, samples in res.items():
-            merged.setdefault(key, RunningMoments()).update(samples)
-    return merged
+    for samples, _ in results:               # fixed chunk order
+        for key, values in samples.items():
+            merged.setdefault(key, RunningMoments()).update(values)
+    return merged, [out for _, out in results]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import _times
 from .errors import ModelError
-from .market import _times
 from .params import MarketParams
 from .trading import cost_term, log_optimal_factor, payoff_transform
 

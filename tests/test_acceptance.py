@@ -79,9 +79,9 @@ def test_c01_density_martingale():
         z = rng.standard_normal((n, p.n_steps, 2))
         dW = np.sqrt(p.delta_t) * z @ L.T
         Z = exponential_martingale(np.broadcast_to(theta, dW.shape), dW, p)
-        return {"Z_T": Z[:, -1]}
+        return {"Z_T": Z[:, -1]}, None
 
-    stats = run_chunked(100_000, 12, chunk)
+    stats, _ = run_chunked(100_000, 12, chunk)
     m = stats["Z_T"]
     elapsed = time.monotonic() - t0
     ok = abs(m.mean - 1.0) <= 3.0 * m.stderr and elapsed <= 60.0
@@ -175,9 +175,9 @@ def test_c04_budget_constraint_across_strategies():
         for name, make in factories.items():
             ledger = run_backtest(batch, make(), p, x0)
             out[name] = ms.H[:, -1] * ledger.X_T
-        return out
+        return out, None
 
-    stats = run_chunked(100_000, 3, chunk)
+    stats, _ = run_chunked(100_000, 3, chunk)
     ok = True
     details = []
     for name in factories:

@@ -359,6 +359,7 @@ def test_oversized_d_fails_fast_naming_d_and_the_limit(tmp_path, capsys):
     ("mc", "seed", True),
     ("mc", "seed", -3),          # numpy seeds only from nonnegative integers
     ("mc", "seed", None),
+    ("mc", "workers", -3),       # 0 means unset; below that is no worker count
     ("strategy", "seed", -2),
     ("strategy", "h_window", None),
     ("market", "d", "two"),

@@ -182,6 +182,26 @@ def test_measure_samples_overflow_names_step_and_path_as_the_backtest_does(monke
     assert str(measure.value) == str(backtest.value) == "exponential martingale overflowed at step 6 on path 1"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_zeta_gap_of_a_later_chunk_reaches_its_check(tmp_path, monkeypatch, workers):
+    # 8193 paths run as chunks of 8192 and 1; only the one-path chunk 1
+    # reports a NaN gap, and the check must still see it.
+    import futopt.experiments as experiments
+    from futopt.montecarlo import WORKERS_ENV_VAR
+
+    real = experiments._measure_samples
+
+    def chunk1_nan_gap(params, seed_seq, n_paths, *args, **kwargs):
+        res, gap = real(params, seed_seq, n_paths, *args, **kwargs)
+        return res, float("nan") if n_paths == 1 else gap
+
+    monkeypatch.setattr(experiments, "_measure_samples", chunk1_nan_gap)
+    monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+    result = run_experiment(_cfg("verify-measure", mc={"n_paths": 8193, "seed": 2}), out_dir=tmp_path)
+    assert [c["name"] for c in result.failed_checks] == ["zeta_recursion_gap"]
+    assert "max relative gap nan" in result.failed_checks[0]["detail"]
+
+
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("n_paths, p_cov0", [(300, None), (2, None), (300, 0.4)])
 @pytest.mark.parametrize("market", ["p1", "p2"])
@@ -476,15 +496,18 @@ def test_strategy_p_cov0_reaches_every_filter(tmp_path, experiment, artifact):
     assert got != (tmp_path / "default" / artifact).read_bytes()
 
 
-def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_backtest_path0_artifacts_match_serial_chunk0_oracle(tmp_path, monkeypatch, workers):
     from dataclasses import replace
 
     from futopt import (build_batch, build_measure_state, build_strategy, chunk_layout,
                         realized_monetary_vol, relative_risk, run_backtest, simulate_batch,
                         simulate_drift)
+    from futopt.montecarlo import WORKERS_ENV_VAR
 
     # gearing and a cap that bind on part of the steps: every event kind fires
     cfg = _cfg("backtest", mc=TWO_CHUNKS, strategy={"x0": 3000.0, "caps": 20.0, "gearing": 40.0})
+    monkeypatch.setenv(WORKERS_ENV_VAR, workers)
     run_experiment(cfg, out_dir=tmp_path / "run")
 
     # every chunk rebuilt serially, chunk i as the i-th child of the root seed sequence

@@ -89,17 +89,20 @@ def test_resolve_workers_priority(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
     with pytest.raises(ConfigError, match="FUTOPT_WORKERS must be an integer"):
         resolve_workers(None)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "-4")
+    with pytest.raises(ConfigError, match="FUTOPT_WORKERS must be nonnegative, got -4"):
+        resolve_workers(3)
 
 
 def _noisy_chunk(seed_seq, n):
     rng = np.random.default_rng(seed_seq)
     draws = rng.standard_normal(n)
-    return {"x": draws, "x2": draws**2}
+    return {"x": draws, "x2": draws**2}, None
 
 
 def test_run_chunked_worker_count_is_invisible():
-    a = run_chunked(10_000, 7, _noisy_chunk, chunk_size=1024, workers=1)
-    b = run_chunked(10_000, 7, _noisy_chunk, chunk_size=1024, workers=4)
+    a, _ = run_chunked(10_000, 7, _noisy_chunk, chunk_size=1024, workers=1)
+    b, _ = run_chunked(10_000, 7, _noisy_chunk, chunk_size=1024, workers=4)
     for key in ("x", "x2"):
         assert a[key].n == b[key].n == 10_000
         assert a[key].mean == b[key].mean          # bitwise: serial merge order
@@ -107,9 +110,28 @@ def test_run_chunked_worker_count_is_invisible():
 
 
 def test_run_chunked_seeding_matches_manual_spawn():
-    stats = run_chunked(300, 11, _noisy_chunk, chunk_size=100, workers=1)
+    stats, _ = run_chunked(300, 11, _noisy_chunk, chunk_size=100, workers=1)
     manual = RunningMoments()
     for child in np.random.SeedSequence(11).spawn(3):
         manual.update(np.random.default_rng(child).standard_normal(100))
     assert stats["x"].mean == manual.mean
     assert stats["x"].variance == manual.variance
+
+
+def test_run_chunked_returns_outs_in_chunk_order_whichever_finishes_first(monkeypatch):
+    import threading
+
+    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    chunk1_done = threading.Event()
+
+    def chunk(seed_seq, n):
+        idx = 0 if n == 20 else 1   # the layout is 20 + 10
+        if idx == 0:   # finish after chunk 1, so a pool returns chunk 1's result first
+            assert chunk1_done.wait(timeout=10.0), "chunk 1 never ran beside chunk 0"
+        else:
+            chunk1_done.set()
+        return {"n": np.full(n, float(idx))}, idx
+
+    stats, outs = run_chunked(30, 0, chunk, chunk_size=20, workers=2)
+    assert outs == [0, 1]
+    assert stats["n"].n == 30 and stats["n"].total == 10.0
