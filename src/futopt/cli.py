@@ -51,9 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:      # an OSError names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.paths is not None and args.paths < 1:
-        print("error: --paths must be at least 1", file=sys.stderr)
-        return 2
 
     cfg.experiment = args.experiment
     try:

@@ -47,41 +47,77 @@ EXPERIMENTS = (
 )
 
 
+_MAX_BOUND = np.finfo(float).max / 2
+
+
+def _field(kind: str, default, check=None, rule: str = "", null_ok: bool = False):
+    """A config field's one declaration: its kind (a key of _KINDS), its default,
+    and the range `check` on its parsed value, named by `rule` in the error
+    "section.field must be <rule>, got <value>".  A field whose default is None
+    accepts null."""
+    return field(default=default, metadata={"kind": kind, "check": check, "rule": rule,
+                                            "null_ok": null_ok or default is None})
+
+
+def _choice(default: str, *others: str):
+    choices = (default, *others)
+    return _field("str", default, choices.__contains__, f"one of {', '.join(choices)}")
+
+
+def _symmetric_psd(p) -> bool:
+    p = np.atleast_2d(np.asarray(p, dtype=float))   # a scalar s stands for s * I
+    eig = np.linalg.eigvalsh(p)
+    return np.array_equal(p, p.T) and eig.min() >= -1e-12 * np.abs(eig).max()
+
+
 @dataclass
 class McConfig:
-    n_paths: int = 1000
-    seed: int = 0
-    workers: int = 0          # 0 means: environment variable or serial
+    n_paths: int = _field("int", 1000, lambda n: n >= 1, "positive")
+    # numpy seeds only from nonnegative integers
+    seed: int = _field("int", 0, lambda s: s >= 0, "nonnegative")
+    # 0 or null means: environment variable or serial
+    workers: int = _field("int", 0, lambda w: w >= 0, "nonnegative", null_ok=True)
 
 
 @dataclass
 class StrategyConfig:
-    policy: str = "log_optimal"
-    mode: str = "soft_threshold"
-    x0: float = 1_000_000.0
-    theta_max: float = 10.0
-    h_window: int = 20
-    p_cov0: object = None
-    caps: object = None
-    gearing: object = None
-    integer_contracts: bool = False
-    literal_product: bool = False
-    const_weights: object = None
-    bound: float = 1.0
-    seed: int = 0
+    policy: str = _choice("log_optimal", "zero", "constant", "random")
+    mode: str = _choice("soft_threshold", "zero_cost", "literal")
+    x0: float = _field("float", 1_000_000.0, lambda x: x >= 0, "nonnegative")
+    # .inf means no cap on the relative risk
+    theta_max: float = _field("float_or_inf", 10.0, lambda t: t > 0, "positive")
+    # a standard deviation needs two returns
+    h_window: int = _field("int", 20, lambda h: h >= 2, "at least 2")
+    # the shaped fields keep their value as given: a scalar, or (d, d) / (d,)
+    p_cov0: object = _field("matrix", None, _symmetric_psd, "symmetric positive semidefinite")
+    caps: object = _field("vector", None, lambda c: np.all(np.asarray(c, dtype=float) >= 0), "nonnegative")
+    gearing: object = _field("vector", None, lambda g: np.all(np.asarray(g, dtype=float) > 0),
+                             "strictly positive")
+    integer_contracts: bool = _field("bool", False)
+    literal_product: bool = _field("bool", False)
+    const_weights: object = _field("vector", None)
+    # numpy draws from [-bound, bound] only on a finite width
+    bound: float = _field("float", 1.0, lambda b: 0 <= b <= _MAX_BOUND, f"in [0, {_MAX_BOUND:.6g}]")
+    seed: int = _field("int", 0, lambda s: s >= 0, "nonnegative")
 
 
 @dataclass
 class OutputConfig:
-    dir: str = "out"
-    formats: tuple = ("csv", "json")
+    dir: str = _field("str", "out")
+    formats: tuple = _field("list", ("csv", "json"))
 
 
 @dataclass
 class CostSweepConfig:
-    delta_ts: tuple = (1.0 / 52, 1.0 / 252, 1.0 / 2520)
-    P_prev: float = 10.0
-    P_now: float = 12.0
+    delta_ts: tuple = _field("floats", (1.0 / 52, 1.0 / 252, 1.0 / 2520),
+                             lambda ts: len(ts) > 0 and min(ts) > 0, "a nonempty list of positive numbers")
+    P_prev: float = _field("float", 10.0)
+    P_now: float = _field("float", 12.0)
+
+
+#: The sections the schema declares, in the order they are parsed.
+SECTIONS = {"mc": McConfig, "strategy": StrategyConfig, "outputs": OutputConfig,
+            "cost_sweep": CostSweepConfig}
 
 
 @dataclass
@@ -108,7 +144,7 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _parse_delta_t(value) -> float:
+def _parse_delta_t(value, where: str) -> float:
     if isinstance(value, str):
         parts = value.split("/")
         if len(parts) == 2:
@@ -116,16 +152,19 @@ def _parse_delta_t(value) -> float:
                 return float(parts[0]) / float(parts[1])
             except (ValueError, ZeroDivisionError):
                 pass
-        raise ConfigError(f"market.delta_t: cannot parse {value!r}")
-    return float(_as_float(value, "market.delta_t"))
+        raise ConfigError(f"{where}: cannot parse {value!r}")
+    return float(_as_float(value, where))
 
 
-def _section(tree: dict, name: str) -> dict:
+def _section(tree: dict, name: str, cls) -> dict:
     sub = tree.get(name, {})
     if sub is None:
         sub = {}
     if not isinstance(sub, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
+    unknown = set(sub) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
     return sub
 
 
@@ -146,72 +185,85 @@ def _coerce_numbers(value):
     return value
 
 
-def _as_int(value, where: str) -> int:
+def _fail(where: str, rule: str, value):
+    raise ConfigError(f"{where} must be {rule}, got {value!r}")
+
+
+def _as_int(value, where: str, d=None) -> int:
     """An integer field; integral floats such as 1e4 pass, 1.5 or "abc" do not."""
     value = _coerce_numbers(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
     ):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+        _fail(where, "an integer", value)
     return int(value)
 
 
-def _as_float(value, where: str, inf_ok: bool = False):
+def _as_float(value, where: str, d=None, inf_ok: bool = False):
     """A finite real field, or +-inf where inf_ok.
 
     An int keeps its type, so existing config hashes do not move.
     """
     value = _coerce_numbers(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        _fail(where, "a number", value)
     if isinstance(value, float) and (np.isnan(value) or (np.isinf(value) and not inf_ok)):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
+        _fail(where, "finite", value)
     return value
 
 
-def _check_array(value, where: str):
-    """An array field must convert to finite floats; its value is kept as given."""
+def _as_list(value, where: str, d=None) -> tuple:
+    if not isinstance(value, list):
+        _fail(where, "a list", value)
+    return tuple(_coerce_numbers(value))
+
+
+def _as_numeric(value, where: str, d=None):
+    """A number or nested lists of numbers; MarketParams or the field's kind checks its shape."""
+    value = _coerce_numbers(value)
     try:
-        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"{where} must be an array of finite numbers, got {value!r}")
+        _fail(where, "numeric", value)
     return value
 
 
-_INT_FIELDS = {"n_paths", "seed", "workers", "h_window"}
-_FLOAT_FIELDS = {"x0", "theta_max", "bound", "P_prev", "P_now"}
-_LIST_FIELDS = {"formats", "delta_ts"}
-_ARRAY_FIELDS = {"p_cov0", "caps", "gearing", "const_weights"}
-_BOOL_FIELDS = {"integer_contracts", "literal_product"}
-_MAX_BOUND = np.finfo(float).max / 2
+def _shaped(as_shape):
+    """A (d,) or (d, d) array field, checked against market.d; its value is kept as given."""
+    def parse(value, where: str, d: int):
+        value = _as_numeric(value, where)
+        try:
+            as_shape(value, d, where)
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from None
+        return value
+    return parse
 
 
-def _build_dataclass(cls, data: dict, section: str):
-    allowed = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        value = _coerce_numbers(value)
-        where = f"{section}.{key}"
-        if key in _INT_FIELDS and not (key == "workers" and value is None):
-            value = _as_int(value, where)
-        elif key in _FLOAT_FIELDS:
-            # theta_max: .inf means no cap on the relative risk
-            value = _as_float(value, where, inf_ok=key == "theta_max")
-        elif key in _ARRAY_FIELDS and value is not None:
-            value = _check_array(value, where)
-        elif key in _BOOL_FIELDS and not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true or false, got {value!r}")
-        elif key in _LIST_FIELDS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{where} must be a list, got {value!r}")
-            value = tuple(_as_float(v, where) for v in value) if key == "delta_ts" else tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
+_KINDS = {
+    "int": _as_int,
+    "float": _as_float,
+    "float_or_inf": lambda v, where, d: _as_float(v, where, inf_ok=True),
+    "bool": lambda v, where, d: v if isinstance(v, bool) else _fail(where, "true or false", v),
+    "str": lambda v, where, d: v if isinstance(v, str) else _fail(where, "a string", v),
+    "list": _as_list,
+    "floats": lambda v, where, d: tuple(_as_float(x, where) for x in _as_list(v, where)),
+    "vector": _shaped(_as_vector),
+    "matrix": _shaped(_as_matrix),
+}
+_MARKET_KINDS = {"d": _as_int, "n_steps": _as_int, "delta_t": _parse_delta_t}   # any other: _as_numeric
+
+
+def parse_field(cls, name: str, value, where: str, d: int | None = None):
+    """One value of field `name` of a schema dataclass, parsed by its kind and
+    checked against its range; `where` names it in the error."""
+    meta = cls.__dataclass_fields__[name].metadata
+    if value is None and meta["null_ok"]:
+        return None
+    parsed = _KINDS[meta["kind"]](value, where, d)
+    if meta["check"] is not None and not meta["check"](parsed):
+        _fail(where, meta["rule"], value)
+    return parsed
 
 
 def config_from_dict(tree: dict) -> ScenarioConfig:
@@ -225,21 +277,10 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
         )
 
-    mkt = dict(_section(tree, "market"))
+    mkt = {key: _MARKET_KINDS.get(key, _as_numeric)(value, f"market.{key}")
+           for key, value in _section(tree, "market", MarketParams).items()}
     if "d" not in mkt:
         raise ConfigError("market.d is required")
-    if "delta_t" in mkt:
-        mkt["delta_t"] = _parse_delta_t(mkt["delta_t"])
-    for key, value in list(mkt.items()):
-        if key not in ("d", "n_steps", "delta_t"):
-            mkt[key] = _coerce_numbers(value)
-            try:
-                np.asarray(mkt[key], dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigError(f"market.{key} must be numeric, got {value!r}") from None
-    mkt["d"] = _as_int(mkt["d"], "market.d")
-    if "n_steps" in mkt:
-        mkt["n_steps"] = _as_int(mkt["n_steps"], "market.n_steps")
     defaults = {
         "n_steps": 252,
         "delta_t": 1.0 / 252,
@@ -262,61 +303,15 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:   # ModelError is a ValueError
         raise ConfigError(f"market section: {exc}") from None
 
-    mc = _build_dataclass(McConfig, _section(tree, "mc"), "mc")
-    if mc.n_paths < 1:
-        raise ConfigError("mc.n_paths must be positive")
-    strategy = _build_dataclass(StrategyConfig, _section(tree, "strategy"), "strategy")
-    # numpy seeds only from nonnegative integers; 0 workers means unset
-    for where, value in (("mc.seed", mc.seed), ("strategy.seed", strategy.seed), ("mc.workers", mc.workers or 0)):
-        if value < 0:
-            raise ConfigError(f"{where} must be nonnegative, got {value}")
-    if strategy.policy not in ("zero", "constant", "random", "log_optimal"):
-        raise ConfigError(f"strategy.policy unknown: {strategy.policy!r}")
-    if strategy.mode not in ("zero_cost", "soft_threshold", "literal"):
-        raise ConfigError(f"strategy.mode unknown: {strategy.mode!r}")
-    if strategy.x0 < 0:
-        raise ConfigError("strategy.x0 must be nonnegative")
-    if strategy.theta_max <= 0:
-        raise ConfigError("strategy.theta_max must be positive")
-    if not 0 <= strategy.bound <= _MAX_BOUND:   # numpy draws from [-bound, bound] only on a finite width
-        raise ConfigError(f"strategy.bound must be in [0, {_MAX_BOUND:.6g}], got {strategy.bound!r}")
-    if strategy.h_window < 2:   # a standard deviation needs two returns
-        raise ConfigError(f"strategy.h_window must be at least 2, got {strategy.h_window}")
-    shaped = {}
-    for key, as_shape in (("p_cov0", _as_matrix), ("caps", _as_vector), ("gearing", _as_vector),
-                          ("const_weights", _as_vector)):
-        if getattr(strategy, key) is not None:   # a scalar, or (d, d) / (d,); the value stays as given
-            try:
-                shaped[key] = as_shape(getattr(strategy, key), market.d, f"strategy.{key}")
-            except ModelError as exc:
-                raise ConfigError(str(exc)) from None
-    if "p_cov0" in shaped:
-        p0 = shaped["p_cov0"]
-        eig = np.linalg.eigvalsh(p0)
-        if not np.array_equal(p0, p0.T) or eig.min() < -1e-12 * np.abs(eig).max():
-            raise ConfigError("strategy.p_cov0 must be symmetric positive semidefinite")
-    if "gearing" in shaped and np.any(shaped["gearing"] <= 0):
-        raise ConfigError("strategy.gearing must be strictly positive")
-    if "caps" in shaped and np.any(shaped["caps"] < 0):
-        raise ConfigError("strategy.caps must be nonnegative")
-    outputs = _build_dataclass(OutputConfig, _section(tree, "outputs"), "outputs")
-    sweep = _build_dataclass(CostSweepConfig, _section(tree, "cost_sweep"), "cost_sweep")
-    if not sweep.delta_ts or any(dt <= 0 for dt in sweep.delta_ts):
-        raise ConfigError(f"cost_sweep.delta_ts must be a nonempty list of positive numbers, "
-                          f"got {list(sweep.delta_ts)}")
-
+    sections = {
+        name: cls(**{key: parse_field(cls, key, value, f"{name}.{key}", market.d)
+                     for key, value in _section(tree, name, cls).items()})
+        for name, cls in SECTIONS.items()
+    }
     raw = {"experiment": experiment, "market": {k: _jsonable(v) for k, v in mkt.items()}}
-    for name, obj in (("mc", mc), ("strategy", strategy), ("outputs", outputs), ("cost_sweep", sweep)):
+    for name, obj in sections.items():
         raw[name] = {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return ScenarioConfig(
-        experiment=experiment,
-        market=market,
-        mc=mc,
-        strategy=strategy,
-        outputs=outputs,
-        cost_sweep=sweep,
-        raw=raw,
-    )
+    return ScenarioConfig(experiment=experiment, market=market, raw=raw, **sections)
 
 
 def _jsonable(value):

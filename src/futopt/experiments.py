@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from ._rows import _dot, _quad_form
-from .config import ScenarioConfig, build_strategy
+from .config import McConfig, ScenarioConfig, build_strategy, parse_field
 from .errors import ConfigError, ModelError
 from .filtering import KalmanSchedule, run_filter_batch
 from .market import PathBatch, returns_from_prices, simulate_batch
@@ -492,10 +492,9 @@ def run_experiment(
     set a nonzero status and the failed checks land in failure_summary.json
     next to the artifacts.
     """
-    use_seed = cfg.mc.seed if seed is None else int(seed)
-    use_paths = cfg.mc.n_paths if n_paths is None else int(n_paths)
-    if use_seed < 0:
-        raise ConfigError(f"seed (--seed) must be nonnegative, got {use_seed}")
+    use_seed = cfg.mc.seed if seed is None else parse_field(McConfig, "seed", seed, "seed (--seed)")
+    use_paths = (cfg.mc.n_paths if n_paths is None
+                 else parse_field(McConfig, "n_paths", n_paths, "n_paths (--paths)"))
     if use_paths < 2 and cfg.experiment in _NEEDS_STDERR:
         raise ConfigError(f"{cfg.experiment} needs n_paths (--paths) >= 2, got {use_paths}: its checks "
                           "compare a mean with its standard error, which one path does not have")

@@ -1,5 +1,10 @@
+import contextlib
 import copy
+import dataclasses
+import io
 import json
+import string
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +26,7 @@ from futopt import (
     simulate_batch,
 )
 from futopt.cli import main
-from futopt.config import CostSweepConfig, StrategyConfig
+from futopt.config import SECTIONS, CostSweepConfig, StrategyConfig
 
 
 def _tree(**extra):
@@ -72,6 +77,8 @@ def test_unknown_keys_rejected():
         config_from_dict(_tree(mc={"typo_field": 3}))
     with pytest.raises(ConfigError, match="experiment"):
         config_from_dict({"experiment": "frobnicate", "market": {"d": 1}})
+    with pytest.raises(ConfigError, match=r"^unknown keys in section 'market': \['unknownkey'\]$"):
+        config_from_dict(_tree(market={"d": 1, "unknownkey": 3}))
 
 
 def test_policy_and_mode_validated():
@@ -168,6 +175,75 @@ def test_mutated_tiny_run_exits_0_1_or_2_without_a_traceback(policy, mutations):
                 code = main([experiment, "--config", str(cfg), "--out", str(Path(tmp) / experiment)])
             assert code in (0, 1, 2)
             assert code != 1 or "[FAIL]" in stdout.getvalue()
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Every field the schema declares, and every range, so a field added later is
+# drawn without editing this test.
+_DECLARED = [(section, f) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)]
+_SCHEMA = ([(section, f, "kind") for section, f in _DECLARED]
+           + [(section, f, "range") for section, f in _DECLARED if f.metadata["check"] is not None])
+_WORDS = st.text(string.ascii_letters + string.digits + " ._-", max_size=8)
+_NON_NUMBERS = _WORDS.filter(_not_a_number)
+_FINITE = st.floats(-1e6, 1e6)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# Values no field of a kind accepts at market.d = 1, None included: the test
+# drops None where the field accepts null.  A kind missing here fails the test.
+_WRONG_KIND = {
+    "int": st.one_of(_NON_NUMBERS, st.booleans(), _FINITE.filter(lambda x: not x.is_integer()), _NON_FINITE,
+                     st.lists(st.integers(), max_size=2), st.none()),
+    "float": st.one_of(_NON_NUMBERS, st.booleans(), _NON_FINITE, st.lists(_FINITE, max_size=2), st.none()),
+    "float_or_inf": st.one_of(_NON_NUMBERS, st.booleans(), st.just(float("nan")), st.lists(_FINITE, max_size=2),
+                              st.none()),
+    "bool": st.one_of(_WORDS, st.integers(), _FINITE, st.lists(st.booleans(), max_size=2), st.none()),
+    "str": st.one_of(st.integers(), _FINITE, st.booleans(), st.lists(_WORDS, max_size=2), st.none()),
+    "list": st.one_of(_WORDS, st.integers(), _FINITE, st.booleans(), st.none()),
+    "floats": st.one_of(_FINITE, _WORDS, st.none(),
+                        st.lists(_NON_NUMBERS | _NON_FINITE | st.booleans(), min_size=1, max_size=2)),
+    "vector": st.one_of(_NON_NUMBERS, _NON_FINITE, st.lists(_FINITE, min_size=2, max_size=3),
+                        st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2), st.none()),
+    "matrix": st.one_of(_NON_NUMBERS, _NON_FINITE, st.lists(_FINITE, min_size=1, max_size=3),
+                        st.lists(st.lists(_FINITE, min_size=2, max_size=2), min_size=1, max_size=2), st.none()),
+}
+# Values of the right kind, for the fields with a range: the test keeps those outside it.
+_RIGHT_KIND = {
+    "int": st.integers(-10**6, 10**6),
+    "float": st.one_of(st.integers(-10**6, 10**6), st.floats(-1e308, 1e308)),
+    "float_or_inf": st.floats(allow_nan=False),
+    "str": _WORDS,
+    "floats": st.lists(st.floats(-1e308, 1e308), max_size=3),
+    "vector": st.one_of(_FINITE, st.lists(_FINITE, min_size=1, max_size=1)),
+    "matrix": st.one_of(_FINITE, st.lists(st.lists(_FINITE, min_size=1, max_size=1), min_size=1, max_size=1)),
+}
+
+
+@pytest.mark.parametrize("section, spec, bad", _SCHEMA, ids=[f"{s}.{f.name}-{bad}" for s, f, bad in _SCHEMA])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schema_field_of_wrong_kind_or_out_of_range_exits_2_naming_it(section, spec, bad, data):
+    meta, where = spec.metadata, f"{section}.{spec.name}"
+    if bad == "kind":
+        value = data.draw(_WRONG_KIND[meta["kind"]].filter(lambda v: v is not None or not meta["null_ok"]))
+    else:
+        value = data.draw(_RIGHT_KIND[meta["kind"]].filter(lambda v: not meta["check"](v)))
+    tree = _tree(**{section: {spec.name: value}})
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(tree)
+    assert where in str(exc.value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(tree))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    assert code == 2 and where in stderr.getvalue()
 
 
 def test_build_strategy_dispatch():
@@ -437,6 +513,7 @@ def test_cli_bad_workers_variable_exits_2_naming_it(tmp_path, capsys, monkeypatc
     ("strategy", "h_window", 0),        # a realized volatility needs two returns
     ("strategy", "h_window", -3),
     ("strategy", "h_window", 1),
+    ("outputs", "dir", 3),              # --out is given, but the config itself is bad
 ])
 def test_cli_bad_float_and_list_fields_exit_2_naming_the_field(
     tmp_path, capsys, section, key, value
