@@ -22,6 +22,9 @@ seconds, each the best of --repeat calls:
   double_conjugate_grid for 3 x, conjugate_grid_sup over that call's
   4001-point y grid (the U~ build), and _write_csv of one ledger.
 
+Next to the seconds, grid_sup_calls counts the conjugate_grid_sup calls that
+the double_conjugate_grid_3x row makes, a number that does not vary by run.
+
 BLAS runs on one thread unless the environment says otherwise, so the
 numbers compare across hosts with different core counts.
 """
@@ -50,6 +53,7 @@ from futopt import (
     run_backtest,
     run_filter_batch,
     simulate_batch,
+    utility,
 )
 from futopt.config import load_config
 from futopt.experiments import _ledger_rows, _value_arbitration, _write_csv
@@ -66,6 +70,22 @@ def best_of(repeat: int, fn) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def grid_sup_calls(fn) -> int:
+    """How many conjugate_grid_sup calls fn makes through futopt.utility."""
+    real, calls = utility.conjugate_grid_sup, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    utility.conjugate_grid_sup = counted
+    try:
+        fn()
+    finally:
+        utility.conjugate_grid_sup = real
+    return len(calls)
 
 
 def all_weights(batch, beta_hat, params, x0: float) -> None:
@@ -102,6 +122,9 @@ def main() -> None:
     xs, y_grid = np.array([0.5, 1.0, 2.0]), np.geomspace(1e-8, 1e8, 4001)
     r = args.repeat
 
+    def dcg_3x():
+        return double_conjugate_grid(log_utility(), xs)
+
     with tempfile.TemporaryDirectory() as tmp:
         ledger_csv = Path(tmp) / "ledger_0000.csv"
         seconds = {
@@ -121,7 +144,7 @@ def main() -> None:
             "build_measure_state": best_of(r, lambda: build_measure_state(theta, batch.dW, params, theta_max)),
             "value_arbitration": best_of(r, lambda: _value_arbitration(
                 params, seed, args.paths, x0, cfg.strategy.p_cov0)),
-            "double_conjugate_grid_3x": best_of(r, lambda: double_conjugate_grid(log_utility(), xs)),
+            "double_conjugate_grid_3x": best_of(r, dcg_3x),
             "grid_sup_4001": best_of(r, lambda: conjugate_grid_sup(
                 log_utility(), y_grid, n_grid=801, n_refine=40)),
             "write_csv_ledger": best_of(r, lambda: _write_csv(ledger_csv, *_ledger_rows(ledger))),
@@ -136,6 +159,7 @@ def main() -> None:
         "nproc": os.cpu_count(),
         "absorbed_fraction": float(absorbed.dead.mean()),
         "seconds": {name: round(s, 6) for name, s in seconds.items()},
+        "grid_sup_calls": {"double_conjugate_grid_3x": grid_sup_calls(dcg_3x)},
     }, indent=1))
 
 

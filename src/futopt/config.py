@@ -53,8 +53,8 @@ _MAX_BOUND = np.finfo(float).max / 2
 def _field(kind: str, default, check=None, rule: str = "", null_ok: bool = False):
     """A config field's one declaration: its kind (a key of _KINDS), its default,
     and the range `check` on its parsed value, named by `rule` in the error
-    "section.field must be <rule>, got <value>".  A field whose default is None
-    accepts null."""
+    "section.field must be <rule>, got <parsed value>".  A field whose default
+    is None accepts null."""
     return field(default=default, metadata={"kind": kind, "check": check, "rule": rule,
                                             "null_ok": null_ok or default is None})
 
@@ -145,14 +145,13 @@ class ScenarioConfig:
 
 
 def _parse_delta_t(value, where: str) -> float:
-    if isinstance(value, str):
-        parts = value.split("/")
-        if len(parts) == 2:
-            try:
-                return float(parts[0]) / float(parts[1])
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise ConfigError(f"{where}: cannot parse {value!r}")
+    """A number, numeric strings included, or a fraction string "a/b" such as "1/252"."""
+    if isinstance(value, str) and value.count("/") == 1:
+        num, den = value.split("/")
+        try:
+            return float(num) / float(den)
+        except (ValueError, ZeroDivisionError):
+            pass
     return float(_as_float(value, where))
 
 
@@ -262,7 +261,7 @@ def parse_field(cls, name: str, value, where: str, d: int | None = None):
         return None
     parsed = _KINDS[meta["kind"]](value, where, d)
     if meta["check"] is not None and not meta["check"](parsed):
-        _fail(where, meta["rule"], value)
+        _fail(where, meta["rule"], parsed)
     return parsed
 
 

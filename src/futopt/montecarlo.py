@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import McConfig, parse_field
 
 __all__ = [
     "RunningMoments",
@@ -106,17 +106,12 @@ class RunningMoments:
 
 
 def resolve_workers(config_value: int | None = None) -> int:
-    """Worker count: environment variable first, then config, then 1.  0
-    means unset; a negative count is a ConfigError naming its source."""
+    """Worker count: environment variable first, then config, then 1.  0 or
+    null means unset.  Both are read as the schema's mc.workers, so a bad
+    value is a ConfigError naming its source."""
     env = os.environ.get(WORKERS_ENV_VAR)
-    where, value = (WORKERS_ENV_VAR, env) if env else ("mc.workers", config_value or 0)
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
-    if n < 0:
-        raise ConfigError(f"{where} must be nonnegative, got {n}")
-    return max(1, n)
+    where, value = (WORKERS_ENV_VAR, env) if env else ("mc.workers", config_value)
+    return max(1, parse_field(McConfig, "workers", value, where) or 0)
 
 
 def chunk_layout(n_total: int, chunk_size: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:

@@ -146,25 +146,56 @@ def conjugate(u: UtilitySpec, y) -> np.ndarray:
 _Y_BLOCK = 256
 
 
-def _golden_section_max(f: Callable, a, b, n_iter: int):
-    """Golden-section search (Kiefer 1953) for a maximum of f on [a, b].
+def _golden_section_max(f: Callable, a, b, n_iter: int, levels: int = 1):
+    """Golden-section search (Kiefer 1953) for a maximum of f on each bracket [a, b].
 
-    Elementwise over arrays of brackets: each element takes the scalar branch
-    (the same `fc > fd` test, ties and NaN included); f sees one new point each.
+    a and b are 1-D arrays of brackets, and each takes the scalar branch (the
+    same `fc > fd` test, ties and NaN included).  f maps points to its values
+    there, elementwise; the points' last axis runs over the brackets.  Each
+    call of f serves `levels` iterations.  The first one's branch is known, so
+    at one level f sees one point per bracket, shape (brackets,), as in the
+    one-step loop.  At more, f also sees every point either branch of the later
+    iterations could ask for, shape (2^levels - 1, brackets), each formed with
+    the one-step loop's float operations, and the real `fc > fd` tests pick
+    points and values level by level.  So the result is the one-step loop's,
+    bit for bit, from ceil(n_iter / levels) + 1 calls of f (c and d share the
+    first).  Look-ahead pays only where a call of f costs more than the
+    bookkeeping of the extra points.
     Returns the final bracket (a, b) and f at its two interior points.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(n_iter):
+    fc, fd = f(np.array([c, d]))
+    rows = np.arange(a.size)
+    full, rest = divmod(n_iter, levels)
+    for k in [levels] * full + [rest] * (rest > 0):      # the iterations of each call of f
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         step = invphi * (b - a)
         p = np.where(left, b - step, a + step)
-        fp = f(p)
         c, d = np.where(left, p, d), np.where(left, c, p)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+        if k == 1:
+            fp = f(p)
+            fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+            continue
+        # Levels 1..k-1 take both branches: node i of a level of w nodes has its
+        # left child (fc > fd) at i and its right child at i + w on the next level.
+        nodes, points = [v[None] for v in (a, b, c, d)], [p[None]]
+        for _ in range(1, k):
+            a_, b_, c_, d_ = nodes
+            p_left, p_right = d_ - invphi * (d_ - a_), c_ + invphi * (b_ - c_)
+            nodes = [np.concatenate(pair) for pair in ((a_, c_), (d_, b_), (p_left, d_), (c_, p_right))]
+            points.append(np.concatenate([p_left, p_right]))
+        fp = f(np.concatenate(points))           # level j in rows 2^j - 1 .. 2^(j+1) - 2
+        node = np.zeros(a.size, dtype=np.intp)   # each bracket's node on the current level
+        for j in range(k):
+            if j:
+                left = fc > fd
+                node += np.where(left, 0, 1 << (j - 1))
+            f_new = fp[(1 << j) - 1 + node, rows]
+            fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        a, b, c, d = (v[node, rows] for v in nodes)
     return a, b, fc, fd
 
 
@@ -218,16 +249,20 @@ def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4
 
     x may be a scalar (a float comes back) or an array (the same shape, bit-equal to scalar
     calls element by element): one U~ grid pass and one golden-section search serve every x.
+    The search looks as many levels ahead as fit every x's points into one _Y_BLOCK grid-pass
+    block, (2^levels - 1) x.size <= _Y_BLOCK: 6 levels for 3 x, one level from 86 x up.  So
+    n_refine = 80 takes 1 + 1 + ceil(80 / levels) U~ calls, 16 for 3 x, where one level
+    would take 82, with the same bits.
     """
     x = np.asarray(x, dtype=float)
-    scalar, x = x.ndim == 0, np.atleast_1d(x)
+    shape, x = x.shape, x.ravel()
     if not np.all(x > 0):
         raise ModelError("double conjugate is defined for x > 0")
     y = np.geomspace(1e-8, 1e8, n_grid)
     conj = conjugate_grid_sup(u, y, n_grid=801, n_refine=40)
-    vals = conj + x[..., None] * y
+    vals = conj + x[:, None] * y
     j = np.argmin(vals, axis=-1)
-    v_j = np.take_along_axis(vals, j[..., None], axis=-1)[..., 0]
+    v_j = vals[np.arange(x.size), j]
     lo = y[np.maximum(j - 1, 0)]
     hi = y[np.minimum(j + 1, n_grid - 1)]
 
@@ -235,12 +270,14 @@ def double_conjugate_grid(u: UtilitySpec, x: float | np.ndarray, n_grid: int = 4
         yy = np.exp(t)
         return -(conjugate_grid_sup(u, yy, n_grid=801, n_refine=40) + x * yy)
 
+    # the most levels with (2^levels - 1) x.size <= _Y_BLOCK, and at least one
+    levels = max(1, (_Y_BLOCK // max(x.size, 1) + 1).bit_length() - 1)
     # Maximizing the negated objective: -fc > -fd branches as fc < fd, ties and NaN too.
-    _, _, fc, fd = _golden_section_max(neg_objective, np.log(lo), np.log(hi), n_refine)
+    _, _, fc, fd = _golden_section_max(neg_objective, np.log(lo), np.log(hi), n_refine, levels)
     # min(v_j, -fc, -fd) as Python takes it: a later value wins only on a strict <.
     best = np.where(-fc < v_j, -fc, v_j)
     best = np.where(-fd < best, -fd, best)
-    return float(best[0]) if scalar else best
+    return float(best[0]) if not shape else best.reshape(shape)
 
 
 # -- budget calibration -----------------------------------------------------

@@ -462,6 +462,15 @@ def test_cli_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_cli_delta_t_in_scientific_notation(tmp_path):
+    # YAML 1.1 reads 1e-2 as a string; delta_t coerces it as every number field does
+    cfg = tmp_path / "sci.yaml"
+    cfg.write_text(MINI_YAML.replace("delta_t: 1/252", "delta_t: 1e-2"))
+    assert yaml.safe_load(cfg.read_text())["market"]["delta_t"] == "1e-2"
+    assert load_config(cfg).market.delta_t == 0.01
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_bad_workers_variable_exits_2_naming_it(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "ok.yaml"
     cfg.write_text(MINI_YAML)

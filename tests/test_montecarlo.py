@@ -86,6 +86,8 @@ def test_resolve_workers_priority(monkeypatch):
     assert resolve_workers(3) == 3
     monkeypatch.setenv(WORKERS_ENV_VAR, "5")
     assert resolve_workers(3) == 5
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2.0")          # as mc.workers: 2.0 is
+    assert resolve_workers(3) == 2
     monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
     with pytest.raises(ConfigError, match="FUTOPT_WORKERS must be an integer"):
         resolve_workers(None)

@@ -93,3 +93,5 @@ def test_layer_timings():
     ]
     assert all(s > 0 for s in report["seconds"].values())
     assert 0.5 < report["absorbed_fraction"] <= 1.0
+    # the U~ grid, c and d, then ceil(80 / 6) look-ahead calls
+    assert report["grid_sup_calls"] == {"double_conjugate_grid_3x": 1 + 1 + 14}

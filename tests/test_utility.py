@@ -27,6 +27,7 @@ from futopt import (
     simulate_batch,
     validate_utility,
 )
+from futopt.utility import _golden_section_max
 
 
 def test_log_passes_validation_battery():
@@ -197,13 +198,76 @@ def test_double_conjugate_calls_oracle_once_for_the_grid(monkeypatch):
     real = utility.conjugate_grid_sup
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.size(args[1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(utility, "conjugate_grid_sup", counted)
-    # three x share one U~ grid call and one refinement: 2 + 80 golden-section points
+    # three x share one U~ grid call and one refinement that looks 6 levels ahead:
+    # c and d in one call, then 80 iterations in ceil(80 / 6) calls of 63 points per x,
+    # the last one 2 levels deep
     double_conjugate_grid(log_utility(), np.array([0.5, 1.0, 2.0]), n_grid=4001, n_refine=80)
-    assert len(calls) == 1 + 80 + 2
+    assert len(calls) == 1 + 1 + 14
+    assert calls == [4001, 2 * 3] + [63 * 3] * 13 + [3 * 3]
+
+
+def _golden_bits(*arrays):
+    return [np.asarray(v, dtype=float).view(np.uint64) for v in arrays]
+
+
+def _tied_nan_objective(t):
+    """Elementwise, with ties (rounded to 0.05) and NaN (on a band of t)."""
+    v = np.round(-(t - 0.3) ** 2 * 20.0) / 20.0
+    return np.where((t > 1.1) & (t < 1.4), np.nan, v)
+
+
+GOLDEN_BRACKETS = np.array([[-1.0, 1.0], [0.3, 0.3], [0.9, 2.0], [-3.0, 5.0], [1.2, 1.3], [0.29, 0.31],
+                            [-0.5, 0.0], [2.0, -2.0]])
+
+
+@pytest.mark.parametrize("levels", range(1, 8))
+def test_golden_section_look_ahead_equals_scalar_loop(levels):
+    a, b = GOLDEN_BRACKETS[:, 0], GOLDEN_BRACKETS[:, 1]
+    for n_iter in sorted({0, 1, levels - 1, levels, levels + 1, 80}):
+        got = _golden_section_max(_tied_nan_objective, a, b, n_iter, levels)
+        want = [_scalar_golden_max(_tied_nan_objective, lo, hi, n_iter) for lo, hi in GOLDEN_BRACKETS]
+        for got_v, want_v in zip(got, zip(*want)):
+            assert np.array_equal(*_golden_bits(got_v, want_v)), (n_iter, levels)
+
+
+def test_golden_section_objective_meets_ties_and_nan():
+    # the look-ahead test above is only as strong as its objective: some iteration
+    # must start from fc == fd (ties go right) and some from a NaN (so does NaN)
+    states = [_scalar_golden_max(_tied_nan_objective, lo, hi, n)[2:]
+              for lo, hi in GOLDEN_BRACKETS for n in range(80)]
+    assert any(fc == fd for fc, fd in states)
+    assert any(np.isnan(fc) or np.isnan(fd) for fc, fd in states)
+
+
+RANDOM_X = np.random.default_rng(28).uniform(0.05, 20.0, 40)
+
+
+@pytest.mark.parametrize("u", [log_utility(), power_utility(0.2)], ids=["log", "power_0.2"])
+@pytest.mark.parametrize("n_refine", [7, 20, 80])
+def test_double_conjugate_look_ahead_bits(u, n_refine):
+    def one_level(x):
+        """double_conjugate_grid with the one-step search, element by element."""
+        y = np.geomspace(1e-8, 1e8, 601)
+        vals = conjugate_grid_sup(u, y, n_grid=801, n_refine=40) + x * y
+        j = int(np.argmin(vals))
+
+        def neg_objective(t):
+            yy = np.exp(t)
+            return -(conjugate_grid_sup(u, yy, n_grid=801, n_refine=40) + x * yy)
+
+        lo, hi = np.log(y[[max(j - 1, 0)]]), np.log(y[[min(j + 1, 600)]])
+        _, _, fc, fd = _golden_section_max(neg_objective, lo, hi, n_refine)
+        return float(min(vals[j], -fc[0], -fd[0]))
+
+    for x in (np.float64(0.7), np.array([0.5, 1.0, 2.0]), np.array([[0.3, 1.0], [4.0, 0.7]]), RANDOM_X):
+        got = np.asarray(double_conjugate_grid(u, x, n_grid=601, n_refine=n_refine))
+        assert got.shape == np.shape(x)
+        want = np.array([one_level(v) for v in np.ravel(x)]).reshape(np.shape(x))
+        assert np.array_equal(*_golden_bits(got, want)), (u.name, n_refine, np.shape(x))
 
 
 def test_grid_sup_takes_the_grid_in_blocks_of_rows():
